@@ -5,7 +5,8 @@
 //
 // Success criterion: single-digit-percent model error in the stable region
 // for n = 6..10 (64..1024 processors), without any hypercube-specific model
-// code beyond the 60-line channel-class builder.
+// code: the symmetry-collapsed traffic model derives the per-dimension
+// channel classes from the topology itself.
 //
 //   ./generality_hypercube [--dims=6,8,10] [--worm=16] [--quick]
 #include <cstdio>
@@ -22,17 +23,14 @@ int main(int argc, char** argv) {
   harness::SweepConfig base = bench::sweep_defaults(args, worm);
   bench::reject_unknown_flags(args);
 
-  std::vector<core::GeneralModel> models;
-  models.reserve(dims_list.size());
-  for (long dims : dims_list) {
-    models.push_back(core::build_hypercube_collapsed(static_cast<int>(dims)));
-    models.back().opts.worm_flits = worm;
-  }
-
+  core::SolveOptions opts;
+  opts.worm_flits = worm;
   harness::SweepEngine engine;
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    const core::GeneralModel& net = models[i];
-    topo::Hypercube hc(static_cast<int>(dims_list[i]));
+  for (long dims : dims_list) {
+    topo::Hypercube hc(static_cast<int>(dims));
+    const core::GeneralModel net =
+        core::build_traffic_model(hc, traffic::TrafficSpec::uniform(), opts,
+                                  {.collapse = core::CollapseMode::Auto});
     const double sat = engine.saturation_load(net);
 
     harness::SweepConfig sweep = base;

@@ -38,8 +38,11 @@ void BM_FatTreeSaturationSolve(benchmark::State& state) {
 BENCHMARK(BM_FatTreeSaturationSolve)->Arg(5);
 
 void BM_GeneralSolverCollapsedFatTree(benchmark::State& state) {
+  // The symmetry-collapsed uniform fat-tree: 2·levels channel classes.
+  const topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   const core::GeneralModel net =
-      core::build_fattree_collapsed(static_cast<int>(state.range(0)));
+      core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), {},
+                                {.collapse = core::CollapseMode::Auto});
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.evaluate(0.001).latency);
   }
@@ -48,7 +51,8 @@ BENCHMARK(BM_GeneralSolverCollapsedFatTree)->Arg(5)->Arg(8);
 
 void BM_GeneralSolverMeshPerChannel(benchmark::State& state) {
   topo::Mesh mesh(static_cast<int>(state.range(0)), 2);
-  const core::GeneralModel net = core::build_full_channel_graph(mesh);
+  const core::GeneralModel net =
+      core::build_traffic_model(mesh, traffic::TrafficSpec::uniform());
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.evaluate(0.001).latency);
   }
@@ -90,14 +94,6 @@ void BM_SweepEngineMemoizedSweep(benchmark::State& state) {
       reg.value("wormnet_sweep_cache_hit_rate", "engine=bench");
 }
 BENCHMARK(BM_SweepEngineMemoizedSweep)->Unit(benchmark::kMicrosecond);
-
-void BM_FullGraphBuild(benchmark::State& state) {
-  topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_full_channel_graph(ft).graph.size());
-  }
-}
-BENCHMARK(BM_FullGraphBuild)->Arg(2)->Arg(3);
 
 void BM_TrafficModelBuildFatTree(benchmark::State& state) {
   // Route enumeration under a DENSE pattern (hotspot: every pair weight is
@@ -149,9 +145,10 @@ void BM_TrafficModelBuildCollapsed(benchmark::State& state) {
   // headline: the dense builder would need ~10⁶ full passes.
   topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
+  const core::TrafficBuildOptions build{.collapse = core::CollapseMode::Auto};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::build_traffic_model_collapsed(ft, spec).graph.size());
+        core::build_traffic_model(ft, spec, {}, build).graph.size());
   }
   state.SetLabel("N=" + std::to_string(ft.num_processors()));
 }
@@ -167,9 +164,10 @@ void BM_TrafficModelBuildCollapsedHotspot(benchmark::State& state) {
   // orbits (one rep pass each), still orders of magnitude under dense.
   topo::ButterflyFatTree ft(static_cast<int>(state.range(0)));
   const traffic::TrafficSpec spec = traffic::TrafficSpec::hotspot(0.1);
+  const core::TrafficBuildOptions build{.collapse = core::CollapseMode::Auto};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::build_traffic_model_collapsed(ft, spec).graph.size());
+        core::build_traffic_model(ft, spec, {}, build).graph.size());
   }
   state.SetLabel("N=" + std::to_string(ft.num_processors()));
 }
@@ -184,9 +182,10 @@ void BM_TrafficModelBuildCollapsed10Cube(benchmark::State& state) {
   // network under hotspot (which has no usable hypercube symmetry).
   topo::Hypercube hc(10);
   const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
+  const core::TrafficBuildOptions build{.collapse = core::CollapseMode::Auto};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::build_traffic_model_collapsed(hc, spec).graph.size());
+        core::build_traffic_model(hc, spec, {}, build).graph.size());
   }
 }
 BENCHMARK(BM_TrafficModelBuildCollapsed10Cube)->Unit(benchmark::kMillisecond);

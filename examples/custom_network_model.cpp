@@ -73,7 +73,7 @@ int main() {
 
   // --- Ablation: what if we ignored the pooling of the two middle links?
   core::GeneralModel naive = net;
-  naive.opts.multi_server = false;
+  naive.opts.ablation.multi_server = false;
   const double sat_naive = engine.saturation_rate(naive);
   std::printf("\nwith the two-server pool modeled as independent M/G/1 links,"
               " predicted saturation drops from %.5f to %.5f (-%.1f%%)\n",
@@ -83,8 +83,11 @@ int main() {
   // The 16-processor fat-tree's level-1 switches feed exactly such a
   // two-server bundle; compare model vs simulation there.
   topo::ButterflyFatTree ft(2);
-  core::GeneralModel ftnet = core::build_fattree_collapsed(2);
-  ftnet.opts.worm_flits = sf;
+  core::SolveOptions ftopts;
+  ftopts.worm_flits = sf;
+  const core::GeneralModel ftnet =
+      core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), ftopts,
+                                {.collapse = core::CollapseMode::Auto});
   const double ft_sat = engine.saturation_rate(ftnet);
   sim::SimConfig cfg;
   cfg.load_flits = ft_sat * 0.6 * sf;

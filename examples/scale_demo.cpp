@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
     const topo::ButterflyFatTree ft(levels);
 
     const double t0 = now_ms();
-    const core::GeneralModel net = core::build_traffic_model_collapsed(ft, spec);
+    const core::GeneralModel net = core::build_traffic_model(
+        ft, spec, {}, {.collapse = core::CollapseMode::Auto});
     const double build_ms = now_ms() - t0;
 
     const double t1 = now_ms();

@@ -106,7 +106,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
   WORMNET_EXPECTS(opts.injection_scale >= 0.0);
   WORMNET_EXPECTS(graph.validate().empty());
 
-  const ChannelSolver solver(opts.worm_flits, opts.ablation());
+  const ChannelSolver solver(opts.worm_flits, opts.ablation);
   const double scale = opts.injection_scale;
 
   const int n = graph.size();
@@ -173,7 +173,7 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     // Report the SCV the wait was actually evaluated at: with the
     // bursty_arrivals ablation off the kernel used the Poisson value, not
     // the graph's tuned one.
-    sol.ca2 = opts.ablation().bursty_arrivals ? graph.at(id).ca2 : 1.0;
+    sol.ca2 = opts.ablation.bursty_arrivals ? graph.at(id).ca2 : 1.0;
     // Blocking decomposition (diagnostic): the transition-weighted Eq. 9/10
     // factor — rates are scale-invariant, so this needs no re-solve.
     const ChannelClass& cls = graph.at(id);
@@ -426,7 +426,7 @@ LatencyEstimate GeneralModel::evaluate(double lambda0) const {
       apply_batch_residual(
           estimate_latency(solve(lambda0), injection_classes,
                            injection_class_weights, mean_distance),
-          injection_batch_residual, opts.bursty_arrivals),
+          injection_batch_residual, opts.ablation.bursty_arrivals),
       unroutable_fraction);
 }
 
@@ -442,7 +442,7 @@ LatencyEstimate model_latency(const GeneralModel& net, double lambda0,
       apply_batch_residual(
           estimate_latency(res, net.injection_classes,
                            net.injection_class_weights, net.mean_distance),
-          net.injection_batch_residual, base.bursty_arrivals),
+          net.injection_batch_residual, base.ablation.bursty_arrivals),
       net.unroutable_fraction);
 }
 

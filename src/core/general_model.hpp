@@ -38,23 +38,12 @@ namespace wormnet::core {
 struct SolveOptions {
   double worm_flits = 16.0;        ///< s_f, worm length in flits
   double injection_scale = 1.0;    ///< λ₀ multiplier applied to all unit rates
-  bool multi_server = true;        ///< paper novelty (1)
-  bool blocking_correction = true; ///< paper novelty (2)
-  bool erratum_2lambda = true;     ///< corrected Eq. 21/23 (total bundle rate)
-  bool virtual_channels = true;    ///< honor per-channel lane counts (extension)
-  bool bursty_arrivals = true;     ///< honor per-channel C_a² (extension)
-  /// Honor per-channel bandwidth / link latency / buffer depth (extension);
-  /// inert — bit-for-bit — on the default uniform attributes.
-  bool finite_buffers = true;
+  /// The paper's two novelties, the erratum and the extensions' switches —
+  /// exactly what the ChannelSolver kernel consumes.
+  queueing::AblationOptions ablation;
   int max_iterations = 500;        ///< fixed-point cap for cyclic graphs
   double tolerance = 1e-12;        ///< fixed-point convergence threshold
   double damping = 0.5;            ///< fixed-point damping factor in (0, 1]
-
-  /// The switches the ChannelSolver kernel consumes.
-  queueing::AblationOptions ablation() const {
-    return {multi_server, blocking_correction, erratum_2lambda, virtual_channels,
-            bursty_arrivals, finite_buffers};
-  }
 };
 
 /// Per-class solution values.
@@ -129,9 +118,10 @@ LatencyEstimate estimate_latency(const SolveResult& solution,
 
 /// The general model packaged for one concrete network: the channel graph
 /// (with unit-injection rates), the injection channel classes, the mean
-/// path length, and the solve options.  Builders in fattree_graph.hpp,
-/// hypercube_graph.hpp and full_graph.hpp produce these; as a NetworkModel
-/// it plugs straight into the sweep engine and experiment harness.
+/// path length, and the solve options.  core::build_traffic_model
+/// (traffic_model.hpp) produces these for any topology × TrafficSpec, and
+/// callers may assemble a ChannelGraph by hand; as a NetworkModel it plugs
+/// straight into the sweep engine and experiment harness.
 class GeneralModel final : public NetworkModel {
  public:
   ChannelGraph graph;
@@ -235,7 +225,7 @@ class GeneralModel final : public NetworkModel {
   // NetworkModel interface.
   std::string name() const override { return model_name; }
   double worm_flits() const override { return opts.worm_flits; }
-  queueing::AblationOptions ablation() const override { return opts.ablation(); }
+  queueing::AblationOptions ablation() const override { return opts.ablation; }
   double arrival_ca2() const override { return injection_ca2; }
   double arrival_batch_residual() const override {
     return injection_batch_residual;

@@ -21,8 +21,11 @@ std::uint64_t NetworkModel::content_digest() const {
   // evaluate() depends on more (channel graphs, lane knobs) mix that state
   // on top — see the header contract.
   const queueing::AblationOptions abl = ablation();
+  // Every switch changes evaluate(): a new one must be mixed in here too.
+  static_assert(sizeof(queueing::AblationOptions) == 6 * sizeof(bool));
   std::uint64_t h = util::hash_bytes(name());
-  h = util::hash_mix(h, (static_cast<std::uint64_t>(abl.multi_server) << 4) |
+  h = util::hash_mix(h, (static_cast<std::uint64_t>(abl.finite_buffers) << 5) |
+                           (static_cast<std::uint64_t>(abl.multi_server) << 4) |
                            (static_cast<std::uint64_t>(abl.blocking_correction) << 3) |
                            (static_cast<std::uint64_t>(abl.erratum_2lambda) << 2) |
                            (static_cast<std::uint64_t>(abl.virtual_channels) << 1) |

@@ -558,38 +558,29 @@ struct CollapsePlan {
   std::vector<std::vector<int>> dest_sources;  ///< valid when sparse_seed
 };
 
-/// Collapse strategy: symmetric quotient first (a user-declared partition
-/// wins over the topology's own hooks), sparse seeding second, dense last.
-/// Precondition failure when Symmetric was demanded but nothing declares a
-/// quotient.
+/// Collapse strategy: under Auto the symmetric quotient (a user-declared
+/// partition wins over the topology's own hooks); otherwise per-channel
+/// classes, with sparse seeding whenever the spec has fixed destinations.
 CollapsePlan plan_collapse(const topo::Topology& topo,
                            const topo::ChannelTable& ct,
                            const traffic::TrafficSpec& spec,
                            const TrafficBuildOptions& build) {
   const int procs = topo.num_processors();
   CollapsePlan plan;
-  if (build.collapse == CollapseMode::Dense) return plan;
-  if (build.collapse != CollapseMode::Sparse) {
-    bool have = false;
+  if (build.collapse == CollapseMode::Auto) {
     if (build.user_classes != nullptr) {
       plan.sym = *build.user_classes;
-      have = true;
-    } else {
-      std::vector<int> pins;
-      if (spec.symmetric(pins)) {
-        have = topo::topology_symmetry(topo, ct, pins, plan.sym) &&
-               !plan.sym.trivial(procs);
-        if (build.collapse == CollapseMode::Auto) {
-          have = have && plan.sym.num_channel_classes <= build.max_symmetry_classes;
-        }
-      }
-    }
-    if (have) {
       plan.use_collapsed = true;
       return plan;
     }
-    // The quotient was demanded outright but nothing declares one.
-    WORMNET_EXPECTS(build.collapse != CollapseMode::Symmetric);
+    std::vector<int> pins;
+    if (spec.symmetric(pins) &&
+        topo::topology_symmetry(topo, ct, pins, plan.sym) &&
+        !plan.sym.trivial(procs) &&
+        plan.sym.num_channel_classes <= TrafficBuildOptions::kMaxSymmetryClasses) {
+      plan.use_collapsed = true;
+      return plan;
+    }
   }
   if (spec.fixed_destination(0, procs) >= 0) {
     plan.dest_sources.assign(static_cast<std::size_t>(procs), {});
@@ -820,14 +811,6 @@ GeneralModel build_traffic_model(const topo::Topology& topo,
   propagate_dense(topo, ct, spec, build,
                   plan.sparse_seed ? &plan.dest_sources : nullptr, st);
   return assemble_dense(topo, ct, spec, opts, st);
-}
-
-GeneralModel build_traffic_model_collapsed(const topo::Topology& topo,
-                                           const traffic::TrafficSpec& spec,
-                                           const SolveOptions& opts,
-                                           TrafficBuildOptions build) {
-  build.collapse = CollapseMode::Auto;
-  return build_traffic_model(topo, spec, opts, build);
 }
 
 namespace {

@@ -17,9 +17,9 @@
 // exponentially in the fat-tree's redundant up-phase (2^(l-1) minimal paths
 // per pair at LCA level l).
 //
-// The resulting GeneralModel matches the uniform builders under
-// TrafficSpec::uniform() (tested to machine precision) and plugs into the
-// sweep engine like any other NetworkModel.
+// Under TrafficSpec::uniform() the resulting GeneralModel matches the
+// hand-derived collapsed fat-tree and hypercube graphs the tests keep as
+// oracles, and it plugs into the sweep engine like any other NetworkModel.
 //
 // QNA-style SCV propagation (the bursty-arrivals extension)
 // ---------------------------------------------------------
@@ -69,22 +69,20 @@
 namespace wormnet::core {
 
 /// How build_traffic_model turns (topology, spec) into channel classes.
+/// Either way, fixed-destination specs (permutations) seed each
+/// destination's pass from its source list instead of an O(N) scan —
+/// bitwise-identical to the scan, applied automatically.
 enum class CollapseMode {
   /// One class per physical channel — the exact reference path (default;
   /// class ids coincide with topo::ChannelTable ids).
   Dense,
-  /// Best available: symmetric quotient when topology and spec both declare
-  /// the symmetry (and the quotient is genuinely smaller), else sparse
-  /// seeding for fixed-destination patterns, else Dense.  Never changes the
-  /// model semantics — only its size or build cost.
+  /// The symmetric quotient when the topology (or user_classes) and the
+  /// spec both declare the symmetry and it is genuinely smaller, else
+  /// Dense.  Never changes the model semantics — only its size or build
+  /// cost.  Collapsed models carry channel_class_of /
+  /// injection_class_weights and report as "traffic-sym(...)"; this is the
+  /// entry point for large fabrics.
   Auto,
-  /// Demand the symmetric quotient; precondition failure when the topology
-  /// or spec declares none (supply user_classes for irregular topologies).
-  Symmetric,
-  /// Dense classes but per-destination source-list seeding — bitwise
-  /// identical to Dense, skips the O(N) source scan per destination for
-  /// permutation-style patterns.
-  Sparse,
 };
 
 /// Concurrency and collapse knobs for build_traffic_model.
@@ -106,43 +104,38 @@ struct TrafficBuildOptions {
   unsigned threads = 0;
   /// Channel-class strategy; Dense preserves the historical behavior.
   CollapseMode collapse = CollapseMode::Dense;
-  /// Hand-declared partition for irregular topologies (used by Auto /
-  /// Symmetric when set, bypassing the topology's own hooks).  Must outlive
-  /// the call; sizes must match (num_processors, ChannelTable channels).
+  /// Hand-declared partition for irregular topologies (used by Auto when
+  /// set, bypassing the topology's own hooks).  Must outlive the call;
+  /// sizes must match (num_processors, ChannelTable channels).
   /// Taken on trust — validate with check_collapsed_parity at small N.
   const topo::SymmetryClasses* user_classes = nullptr;
-  /// Auto falls back to the dense/sparse path when the declared quotient
-  /// has more classes than this (the O(classes²) transition accumulator
-  /// stops being "flat memory" long before it stops being correct).
-  int max_symmetry_classes = 2048;
+  /// Auto falls back to the dense path when the topology's quotient has
+  /// more classes than this (the O(classes²) transition accumulator stops
+  /// being "flat memory" long before it stops being correct).
+  static constexpr int kMaxSymmetryClasses = 2048;
   /// Processor count at or below which threads = 0 builds serially.
   static constexpr int kSerialCutoffProcs = 128;
 };
 
-/// Build the per-physical-channel general model of `topo` loaded with `spec`.
+/// Build the general model of `topo` loaded with `spec` — the library's one
+/// channel-graph builder.
 ///
-/// Channel class ids coincide with topo::ChannelTable ids.  Rates are per
-/// unit injection rate: a processor with injection_weight w injects w · λ₀.
+/// Under CollapseMode::Dense (the default) channel class ids coincide with
+/// topo::ChannelTable ids; CollapseMode::Auto may fold them into symmetry
+/// classes instead.  Rates are per unit injection rate: a processor with
+/// injection_weight w injects w · λ₀.
 /// Processors with zero injection weight (silent rows of a custom matrix)
 /// are excluded from the latency average; `mean_distance` is the
 /// traffic-weighted D̄.  `opts` seeds the model's worm length, ablation
-/// switches and solver knobs; `build` controls the builder's own
-/// parallelism (the result does not depend on it — see TrafficBuildOptions).
+/// switches and solver knobs; `build` picks the collapse mode and the
+/// builder's own parallelism (the result does not depend on the latter —
+/// see TrafficBuildOptions).
 /// Preconditions: topo.num_processors() >= 2, spec.check(P) passes, and at
 /// least one pair weight is positive.
 GeneralModel build_traffic_model(const topo::Topology& topo,
                                  const traffic::TrafficSpec& spec,
                                  const SolveOptions& opts = {},
                                  const TrafficBuildOptions& build = {});
-
-/// Convenience: build_traffic_model with CollapseMode::Auto — the entry
-/// point for large fabrics.  Collapsed models carry channel_class_of /
-/// injection_class_weights and report as "traffic-sym(...)"; when no usable
-/// symmetry exists the result is the ordinary dense model.
-GeneralModel build_traffic_model_collapsed(const topo::Topology& topo,
-                                           const traffic::TrafficSpec& spec,
-                                           const SolveOptions& opts = {},
-                                           TrafficBuildOptions build = {});
 
 /// Validate a collapsed model against the dense reference: rebuild densely
 /// and compare every physical channel's rate and self_frac against its

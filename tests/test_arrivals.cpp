@@ -127,7 +127,7 @@ TEST(ScvPropagationBatch, ResidualAddsLoadIndependentSourceWait) {
   EXPECT_GT(batch.inj_wait, poisson.inj_wait + 2.5 * poisson.inj_service);
   // The ablation switch removes the whole extension, residual included.
   core::SolveOptions off = net.opts;
-  off.bursty_arrivals = false;
+  off.ablation.bursty_arrivals = false;
   const core::LatencyEstimate ablated = core::model_latency(net, lam, off);
   EXPECT_EQ(ablated.latency, poisson.latency);
 }

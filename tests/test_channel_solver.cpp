@@ -7,10 +7,11 @@
 
 #include <cmath>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
 #include "queueing/queueing.hpp"
 #include "util/math.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet {
 namespace {
@@ -123,11 +124,11 @@ TEST_P(KernelParity, ClosedFormAndGraphSolverAgreeThroughKernel) {
   fo.erratum_2lambda = (mask & 4) != 0;
   const FatTreeModel closed(fo);
 
-  GeneralModel net = core::build_fattree_collapsed(levels);
+  GeneralModel net = oracle::build_fattree_collapsed(levels);
   net.opts.worm_flits = sf;
-  net.opts.multi_server = fo.multi_server;
-  net.opts.blocking_correction = fo.blocking_correction;
-  net.opts.erratum_2lambda = fo.erratum_2lambda;
+  net.opts.ablation.multi_server = fo.multi_server;
+  net.opts.ablation.blocking_correction = fo.blocking_correction;
+  net.opts.ablation.erratum_2lambda = fo.erratum_2lambda;
 
   // Machine precision: both implementations run the identical kernel, so
   // any disagreement beyond last-ulp rounding (the closed form scales rates
@@ -173,7 +174,7 @@ TEST(KernelParityMultiServer, ParentsThreeAndFourAgree) {
   for (int m : {1, 3, 4}) {
     const FatTreeModel closed(
         {.levels = 3, .worm_flits = 16.0, .parents = m});
-    GeneralModel net = core::build_fattree_collapsed(3, m);
+    GeneralModel net = oracle::build_fattree_collapsed(3, m);
     net.opts.worm_flits = 16.0;
     const double lambda0 = closed.saturation_rate() * 0.6;
     const core::LatencyEstimate a = closed.evaluate(lambda0);

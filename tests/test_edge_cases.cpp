@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/channel_graph.hpp"
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
 #include "core/network_model.hpp"
 #include "core/traffic_model.hpp"
@@ -19,6 +18,8 @@
 #include "topo/generalized_fattree.hpp"
 #include "util/histogram.hpp"
 #include "util/table.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet {
 namespace {
@@ -61,7 +62,7 @@ TEST(ContractDeath, ChannelGraphRejectsBadTransitions) {
 }
 
 TEST(ContractDeath, NetworkModelUnknownLabel) {
-  const core::GeneralModel net = core::build_fattree_collapsed(2);
+  const core::GeneralModel net = oracle::build_fattree_collapsed(2);
   EXPECT_DEATH(net.class_id("nonexistent"), "precondition");
 }
 
@@ -90,7 +91,7 @@ TEST(EdgeCases, SolveAtExactlyZeroWorm) {
       [] {
         core::SolveOptions opts;
         opts.worm_flits = 0.0;
-        const core::GeneralModel net = core::build_fattree_collapsed(2);
+        const core::GeneralModel net = oracle::build_fattree_collapsed(2);
         core::solve_general_model(net.graph, opts);
       }(),
       "precondition");

@@ -412,8 +412,9 @@ TEST(FaultRetune, EmptyFaultSetKeepsResidualSymmetry) {
   // availability sweeps stays O(classes).
   core::SolveOptions opts;
   opts.worm_flits = 16.0;
-  const core::GeneralModel quotient = core::build_traffic_model_collapsed(
-      view, traffic::TrafficSpec::uniform(), opts);
+  const core::GeneralModel quotient =
+      core::build_traffic_model(view, traffic::TrafficSpec::uniform(), opts,
+                                {.collapse = core::CollapseMode::Auto});
   ASSERT_FALSE(quotient.channel_class_of.empty());
   EXPECT_EQ(core::check_collapsed_parity(view, traffic::TrafficSpec::uniform(),
                                          quotient, opts),

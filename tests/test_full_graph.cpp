@@ -1,30 +1,33 @@
-// Tests for the generic per-physical-channel model builder.
+// Tests for the per-physical-channel model: build_traffic_model's dense path
+// at TrafficSpec::uniform(), the paper's assumption-1 baseline.
 //
 // The strongest checks here are representation-independence results: the
-// full (per-channel) graph and the collapsed (per-class) graph are different
-// encodings of the same network, and the general solver must produce the
-// same network-level numbers on both.
-#include "core/full_graph.hpp"
+// full (per-channel) graph and the hand-derived collapsed (per-class) oracle
+// graphs are different encodings of the same network, and the general solver
+// must produce the same network-level numbers on both.
+#include "core/traffic_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/network_model.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/channels.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 
+#include "oracle_builders.hpp"
+
 namespace wormnet::core {
 namespace {
 
+const traffic::TrafficSpec kUniform = traffic::TrafficSpec::uniform();
+
 TEST(FullGraph, FatTreeRatesMatchEq14PerLevel) {
   topo::ButterflyFatTree ft(2);
-  const GeneralModel net = build_full_channel_graph(ft);
+  const GeneralModel net = build_traffic_model(ft, kUniform);
   const topo::ChannelTable ct(ft);
   FatTreeModel model({.levels = 2, .worm_flits = 16.0});
   for (int ch = 0; ch < ct.size(); ++ch) {
@@ -51,8 +54,8 @@ TEST(FullGraph, FatTreeFullMatchesCollapsedUpToPaperApproximation) {
   // the paper itself makes.
   for (int levels : {1, 2, 3}) {
     topo::ButterflyFatTree ft(levels);
-    const GeneralModel full = build_full_channel_graph(ft);
-    const GeneralModel collapsed = build_fattree_collapsed(levels);
+    const GeneralModel full = build_traffic_model(ft, kUniform);
+    const GeneralModel collapsed = oracle::build_fattree_collapsed(levels);
     SolveOptions opts;
     opts.worm_flits = 16.0;
     for (double lambda0 : {0.0005, 0.002}) {
@@ -74,8 +77,8 @@ TEST(FullGraph, ExactConditionalsCloseTheGapToFullGraph) {
   // difference is entirely the paper's unconditional-P↑ approximation.
   for (int levels : {2, 3}) {
     topo::ButterflyFatTree ft(levels);
-    const GeneralModel full = build_full_channel_graph(ft);
-    const GeneralModel exact = build_fattree_collapsed(levels, 2,
+    const GeneralModel full = build_traffic_model(ft, kUniform);
+    const GeneralModel exact = oracle::build_fattree_collapsed(levels, 2,
                                                        /*exact_conditionals=*/true);
     SolveOptions opts;
     opts.worm_flits = 16.0;
@@ -94,8 +97,8 @@ TEST(FullGraph, ExactConditionalsCloseTheGapToFullGraph) {
 TEST(FullGraph, HypercubeFullMatchesCollapsed) {
   for (int dims : {2, 3, 4}) {
     topo::Hypercube hc(dims);
-    const GeneralModel full = build_full_channel_graph(hc);
-    const GeneralModel collapsed = build_hypercube_collapsed(dims);
+    const GeneralModel full = build_traffic_model(hc, kUniform);
+    const GeneralModel collapsed = oracle::build_hypercube_collapsed(dims);
     SolveOptions opts;
     opts.worm_flits = 16.0;
     for (double lambda0 : {0.001, 0.004}) {
@@ -112,7 +115,7 @@ TEST(FullGraph, HypercubeFullMatchesCollapsed) {
 
 TEST(FullGraph, FlowConservationAtInjectionAndEjection) {
   topo::Mesh m(4, 2);
-  const GeneralModel net = build_full_channel_graph(m);
+  const GeneralModel net = build_traffic_model(m, kUniform);
   const topo::ChannelTable ct(m);
   for (int p = 0; p < m.num_processors(); ++p) {
     // Unit injection per processor...
@@ -130,7 +133,7 @@ TEST(FullGraph, MeshCenterChannelsCarryMoreTraffic) {
   // DOR on a line: the middle links carry the most flow — the heterogeneity
   // that makes the mesh a real test of the per-channel model.
   topo::Mesh line(8, 1);
-  const GeneralModel net = build_full_channel_graph(line);
+  const GeneralModel net = build_traffic_model(line, kUniform);
   const topo::ChannelTable ct(line);
   // x+ channel out of router i (port 1).
   auto plus_rate = [&](int i) {
@@ -145,7 +148,7 @@ TEST(FullGraph, MeshCenterChannelsCarryMoreTraffic) {
 
 TEST(FullGraph, MeshZeroLoadLatency) {
   topo::Mesh m(4, 2);
-  const GeneralModel net = build_full_channel_graph(m);
+  const GeneralModel net = build_traffic_model(m, kUniform);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   const LatencyEstimate est = model_latency(net, 0.0, opts);
@@ -154,7 +157,7 @@ TEST(FullGraph, MeshZeroLoadLatency) {
 
 TEST(FullGraph, MeshLatencyMonotoneAndSaturates) {
   topo::Mesh m(4, 2);
-  const GeneralModel net = build_full_channel_graph(m);
+  const GeneralModel net = build_traffic_model(m, kUniform);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   double prev = 0.0;
@@ -171,13 +174,13 @@ TEST(FullGraph, MeshLatencyMonotoneAndSaturates) {
 
 TEST(FullGraph, InjectionClassesOnePerProcessor) {
   topo::Hypercube hc(3);
-  const GeneralModel net = build_full_channel_graph(hc);
+  const GeneralModel net = build_traffic_model(hc, kUniform);
   EXPECT_EQ(static_cast<int>(net.injection_classes.size()), hc.num_processors());
 }
 
 TEST(FullGraph, FatTreeUpBundlesHaveTwoServers) {
   topo::ButterflyFatTree ft(2);
-  const GeneralModel net = build_full_channel_graph(ft);
+  const GeneralModel net = build_traffic_model(ft, kUniform);
   const topo::ChannelTable ct(ft);
   const int up0 = ct.from(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
   const int up1 = ct.from(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort1);
@@ -191,7 +194,7 @@ TEST(FullGraph, AdaptiveSplitBalancesUpLinks) {
   // The probability-splitting walk sends half of each up-decision to each
   // parent: both up channels of a switch carry identical rates.
   topo::ButterflyFatTree ft(3);
-  const GeneralModel net = build_full_channel_graph(ft);
+  const GeneralModel net = build_traffic_model(ft, kUniform);
   const topo::ChannelTable ct(ft);
   for (int a = 0; a < ft.switches_at(1); ++a) {
     const int sw = ft.switch_id(1, a);

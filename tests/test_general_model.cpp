@@ -7,11 +7,11 @@
 #include <tuple>
 
 #include "core/channel_graph.hpp"
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/network_model.hpp"
 #include "queueing/queueing.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet::core {
 namespace {
@@ -109,7 +109,7 @@ TEST(GeneralModel, BlockingOffRestoresFullWait) {
   SolveOptions with;
   with.worm_flits = 16.0;
   SolveOptions without = with;
-  without.blocking_correction = false;
+  without.ablation.blocking_correction = false;
   const double lambda0 = 0.03;
   const SolveResult a = model_solve(net, lambda0, with);
   const SolveResult b = model_solve(net, lambda0, without);
@@ -127,7 +127,7 @@ class CollapsedVsClosedForm
 TEST_P(CollapsedVsClosedForm, Agree) {
   const auto [levels, sf, frac] = GetParam();
   FatTreeModel closed({.levels = levels, .worm_flits = sf});
-  const GeneralModel net = build_fattree_collapsed(levels);
+  const GeneralModel net = oracle::build_fattree_collapsed(levels);
   SolveOptions opts;
   opts.worm_flits = sf;
   const double lambda0 = closed.saturation_rate() * frac;
@@ -160,14 +160,14 @@ TEST(GeneralModel, AblationFlagsMatchClosedFormAblations) {
   // Each ablation switch must act identically on both implementations.
   const int levels = 4;
   const double sf = 16.0, lambda0 = 0.0012;
-  const GeneralModel net = build_fattree_collapsed(levels);
+  const GeneralModel net = oracle::build_fattree_collapsed(levels);
   for (int mask = 0; mask < 8; ++mask) {
     FatTreeModelOptions fo{.levels = levels, .worm_flits = sf};
     SolveOptions so;
     so.worm_flits = sf;
-    fo.multi_server = so.multi_server = (mask & 1) != 0;
-    fo.blocking_correction = so.blocking_correction = (mask & 2) != 0;
-    fo.erratum_2lambda = so.erratum_2lambda = (mask & 4) != 0;
+    fo.multi_server = so.ablation.multi_server = (mask & 1) != 0;
+    fo.blocking_correction = so.ablation.blocking_correction = (mask & 2) != 0;
+    fo.erratum_2lambda = so.ablation.erratum_2lambda = (mask & 4) != 0;
     const FatTreeEvaluation ev = FatTreeModel(fo).evaluate_detail(lambda0);
     const LatencyEstimate est = model_latency(net, lambda0, so);
     ASSERT_EQ(ev.stable, est.stable) << "mask=" << mask;
@@ -211,7 +211,7 @@ TEST(GeneralModel, CyclicGraphConvergesByFixedPoint) {
 }
 
 TEST(GeneralModel, HypercubeCollapsedBasics) {
-  const GeneralModel net = build_hypercube_collapsed(6);
+  const GeneralModel net = oracle::build_hypercube_collapsed(6);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   const LatencyEstimate zero = model_latency(net, 0.0, opts);
@@ -224,7 +224,7 @@ TEST(GeneralModel, HypercubeCollapsedBasics) {
 TEST(GeneralModel, HypercubeDimensionZeroCarriesLongestService) {
   // E-cube resolves dimension 0 first, so dim-0 channels sit earliest on
   // paths and accumulate the most downstream waiting.
-  const GeneralModel net = build_hypercube_collapsed(8);
+  const GeneralModel net = oracle::build_hypercube_collapsed(8);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   const SolveResult res = model_solve(net, 0.003, opts);
@@ -264,7 +264,7 @@ TEST(EstimateLatency, AveragesInjectionClasses) {
 }
 
 TEST(GeneralModel, InjectionScaleZeroGivesZeroWaits) {
-  const GeneralModel net = build_fattree_collapsed(3);
+  const GeneralModel net = oracle::build_fattree_collapsed(3);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   const SolveResult res = model_solve(net, 0.0, opts);

@@ -6,7 +6,6 @@
 #include <set>
 #include <tuple>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
 #include "core/network_model.hpp"
 #include "sim/simulator.hpp"
@@ -14,6 +13,8 @@
 #include "topo/generalized_fattree.hpp"
 #include "topo/graph_checks.hpp"
 #include "util/math.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet {
 namespace {
@@ -135,7 +136,7 @@ TEST(GenFatTreeModel, MoreParentsMoreCapacity) {
 TEST(GenFatTreeModel, CollapsedGraphMatchesClosedFormForAllM) {
   for (int m = 1; m <= 4; ++m) {
     core::FatTreeModel closed({.levels = 3, .worm_flits = 16.0, .parents = m});
-    const core::GeneralModel net = core::build_fattree_collapsed(3, m);
+    const core::GeneralModel net = oracle::build_fattree_collapsed(3, m);
     core::SolveOptions opts;
     opts.worm_flits = 16.0;
     const double lambda0 = closed.saturation_rate() * 0.6;

@@ -188,8 +188,14 @@ class Campaign {
 
 std::string cell_label(const Cell& c) {
   std::string name = c.taper == Taper::T2to1 ? "Taper2to1" : "Taper4to1";
-  name += c.depth == 0 ? "DepthInf" : "Depth" + std::to_string(c.depth);
-  name += "L" + std::to_string(c.lanes);
+  if (c.depth == 0) {
+    name += "DepthInf";
+  } else {
+    name += "Depth";
+    name += std::to_string(c.depth);
+  }
+  name += "L";
+  name += std::to_string(c.lanes);
   return name;
 }
 
@@ -275,7 +281,7 @@ TEST(HeteroBitIdentity, FiniteBufferBitInertOnUniformAttributes) {
   core::SolveOptions on;
   on.worm_flits = 16.0;
   core::SolveOptions off = on;
-  off.finite_buffers = false;
+  off.ablation.finite_buffers = false;
   const core::GeneralModel m_on = core::build_traffic_model(topo, spec, on);
   const core::GeneralModel m_off = core::build_traffic_model(topo, spec, off);
   const double sat = core::model_saturation_rate(m_on, on);
@@ -368,8 +374,8 @@ TEST(HeteroCollapsed, TaperedFatTreeCollapsesWithParity) {
   core::SolveOptions opts;
   opts.worm_flits = 16.0;
 
-  const core::GeneralModel quotient =
-      core::build_traffic_model_collapsed(topo, spec, opts);
+  const core::GeneralModel quotient = core::build_traffic_model(
+      topo, spec, opts, {.collapse = core::CollapseMode::Auto});
   ASSERT_FALSE(quotient.channel_class_of.empty())
       << "tapered fat-tree failed to collapse";
   EXPECT_LT(quotient.graph.size(),
@@ -409,8 +415,9 @@ TEST(HeteroCollapsed, ClassNonuniformAttributesDisableSymmetry) {
   // producing a quotient that averages two different bandwidths.
   core::SolveOptions opts;
   opts.worm_flits = 16.0;
-  const core::GeneralModel m = core::build_traffic_model_collapsed(
-      topo, traffic::TrafficSpec::uniform(), opts);
+  const core::GeneralModel m =
+      core::build_traffic_model(topo, traffic::TrafficSpec::uniform(), opts,
+                                {.collapse = core::CollapseMode::Auto});
   EXPECT_TRUE(m.channel_class_of.empty());
 }
 

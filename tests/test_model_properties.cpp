@@ -7,15 +7,15 @@
 #include <cmath>
 #include <tuple>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/full_graph.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/network_model.hpp"
+#include "core/traffic_model.hpp"
 #include "topo/channels.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 #include "util/rng.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet::core {
 namespace {
@@ -136,7 +136,7 @@ TEST(GraphProperties, CollapsedFatTreeFlowConservation) {
   // as Eq. 14 consistency: links(l)·λ(l)·P↑(l+1-ish)... verified directly:
   // N·λ₀·P↑_l equals rate_per_link times the link count at every level.
   for (int levels : {2, 3, 5}) {
-    const GeneralModel net = build_fattree_collapsed(levels);
+    const GeneralModel net = oracle::build_fattree_collapsed(levels);
     FatTreeModel m({.levels = levels, .worm_flits = 16.0});
     const double big_n = static_cast<double>(m.num_processors());
     for (int l = 0; l < levels; ++l) {
@@ -154,7 +154,7 @@ TEST(GraphProperties, HypercubeTransitionsMatchMonteCarloRouting) {
   // combinatorics) must match empirical e-cube routing statistics.
   const int dims = 6;
   topo::Hypercube hc(dims);
-  const GeneralModel net = build_hypercube_collapsed(dims);
+  const GeneralModel net = oracle::build_hypercube_collapsed(dims);
   util::Rng rng(123);
   std::vector<long> dim_visits(static_cast<std::size_t>(dims), 0);
   std::vector<std::vector<long>> dim_to_dim(
@@ -204,7 +204,8 @@ TEST(GraphProperties, HypercubeTransitionsMatchMonteCarloRouting) {
 TEST(GraphProperties, MeshRatesMatchMonteCarloRouting) {
   // Exact flow propagation vs empirical DOR walks on a 4x4 mesh.
   topo::Mesh mesh(4, 2);
-  const GeneralModel net = build_full_channel_graph(mesh);
+  const GeneralModel net =
+      build_traffic_model(mesh, traffic::TrafficSpec::uniform());
   const topo::ChannelTable ct(mesh);
   util::Rng rng(321);
   std::vector<double> counts(static_cast<std::size_t>(ct.size()), 0.0);
@@ -237,7 +238,7 @@ TEST(GraphProperties, SolverResultIndependentOfClassInsertionOrder) {
   // Build the same 2-level fat-tree graph with classes inserted in reverse
   // and confirm identical solutions (the reverse-topological sweep must not
   // depend on id order).
-  GeneralModel fwd = build_fattree_collapsed(2);
+  GeneralModel fwd = oracle::build_fattree_collapsed(2);
   // Reversed construction:
   GeneralModel rev;
   ChannelClass down0;
@@ -277,7 +278,7 @@ TEST(GraphProperties, SolverResultIndependentOfClassInsertionOrder) {
 }
 
 TEST(GraphProperties, SolveIsDeterministic) {
-  const GeneralModel net = build_fattree_collapsed(4);
+  const GeneralModel net = oracle::build_fattree_collapsed(4);
   SolveOptions opts;
   opts.worm_flits = 32.0;
   const SolveResult a = model_solve(net, 0.0007, opts);

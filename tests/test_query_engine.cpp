@@ -246,8 +246,8 @@ TEST(RetunableTrafficModel, CollapsedResidentRetunesOnOrbitPath) {
   EXPECT_TRUE(report.collapsed);
   EXPECT_FALSE(report.rebuilt);
   EXPECT_TRUE(rm.collapsed());
-  const auto cold = core::build_traffic_model_collapsed(
-      ft, traffic::TrafficSpec::hotspot(0.25, 0));
+  const auto cold = core::build_traffic_model(
+      ft, traffic::TrafficSpec::hotspot(0.25, 0), {}, build);
   expect_parity(rm.model(), cold, 0.002, "collapsed hotspot fraction");
 }
 

@@ -5,10 +5,11 @@
 
 #include <cmath>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
 #include "core/network_model.hpp"
 #include "util/math.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet::core {
 namespace {
@@ -49,7 +50,7 @@ TEST(Saturation, GrowsBracketWhenUpperBoundTooSmall) {
 TEST(Saturation, FatTreeModelAndGraphAgree) {
   for (int levels : {2, 3, 5}) {
     FatTreeModel closed({.levels = levels, .worm_flits = 16.0});
-    const GeneralModel net = build_fattree_collapsed(levels);
+    const GeneralModel net = oracle::build_fattree_collapsed(levels);
     SolveOptions opts;
     opts.worm_flits = 16.0;
     EXPECT_NEAR(model_saturation_rate(net, opts), closed.saturation_rate(),

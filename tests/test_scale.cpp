@@ -20,15 +20,18 @@
 #include <vector>
 
 #include "arrivals/arrival_process.hpp"
-#include "core/fattree_graph.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/channels.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 #include "topo/symmetry.hpp"
 
+#include "oracle_builders.hpp"
+
 namespace wormnet::core {
 namespace {
+
+const TrafficBuildOptions kAuto{.collapse = CollapseMode::Auto};
 
 void expect_rel(double actual, double expected, double rel,
                 const std::string& tag) {
@@ -45,7 +48,7 @@ void expect_collapsed_parity(topo::Topology& topo,
                              const traffic::TrafficSpec& spec, int lanes,
                              const arrivals::ArrivalSpec* process) {
   topo.set_uniform_lanes(lanes);
-  GeneralModel collapsed = build_traffic_model_collapsed(topo, spec);
+  GeneralModel collapsed = build_traffic_model(topo, spec, {}, kAuto);
   GeneralModel dense = build_traffic_model(topo, spec);
   // Appends rather than an operator+ chain: GCC 12's -Wrestrict trips a
   // false positive on string temporaries concatenated in one expression.
@@ -242,7 +245,7 @@ TEST(CollapsedRejection, AsymmetricUserPartitionFailsParity) {
   user.num_channel_classes = next;
 
   TrafficBuildOptions build;
-  build.collapse = CollapseMode::Symmetric;
+  build.collapse = CollapseMode::Auto;
   build.user_classes = &user;
   const GeneralModel collapsed = build_traffic_model(mesh, spec, {}, build);
   EXPECT_EQ(collapsed.graph.size(), next);
@@ -253,7 +256,7 @@ TEST(CollapsedRejection, AsymmetricUserPartitionFailsParity) {
       << verdict;
 
   // The genuine reflection quotient on the same cell passes the same check.
-  const GeneralModel genuine = build_traffic_model_collapsed(mesh, spec);
+  const GeneralModel genuine = build_traffic_model(mesh, spec, {}, kAuto);
   EXPECT_EQ(check_collapsed_parity(mesh, spec, genuine), "");
 }
 
@@ -263,32 +266,36 @@ TEST(CollapseStrategy, AutoPicksTheRightPath) {
   const topo::Mesh mesh(3, 2);
 
   // Symmetric spec + symmetric topology: quotient.
-  EXPECT_EQ(build_traffic_model_collapsed(ft, traffic::TrafficSpec::uniform())
-                .model_name.rfind("traffic-sym(", 0),
-            0u);
+  EXPECT_EQ(
+      build_traffic_model(ft, traffic::TrafficSpec::uniform(), {}, kAuto)
+          .model_name.rfind("traffic-sym(", 0),
+      0u);
 
   // Patterns tied to processor numbering never claim the symmetry.
-  const GeneralModel nn = build_traffic_model_collapsed(
-      ft, traffic::TrafficSpec::nearest_neighbor(0.5));
+  const GeneralModel nn = build_traffic_model(
+      ft, traffic::TrafficSpec::nearest_neighbor(0.5), {}, kAuto);
   EXPECT_EQ(nn.model_name.rfind("traffic(", 0), 0u);
   EXPECT_TRUE(nn.channel_class_of.empty());
 
   // A hotspot pin breaks the hypercube's translation group: dense fallback.
-  EXPECT_EQ(build_traffic_model_collapsed(hc, traffic::TrafficSpec::hotspot(0.2))
-                .model_name.rfind("traffic(", 0),
-            0u);
+  EXPECT_EQ(
+      build_traffic_model(hc, traffic::TrafficSpec::hotspot(0.2), {}, kAuto)
+          .model_name.rfind("traffic(", 0),
+      0u);
   // ... and a corner hotspot breaks every mesh reflection.
   EXPECT_EQ(
-      build_traffic_model_collapsed(mesh, traffic::TrafficSpec::hotspot(0.2, 0))
+      build_traffic_model(mesh, traffic::TrafficSpec::hotspot(0.2, 0), {},
+                          kAuto)
           .model_name.rfind("traffic(", 0),
       0u);
 }
 
 TEST(CollapseStrategy, SparseSeedingIsBitwiseDense) {
-  // Fixed-destination patterns take the sparse seeding path under Auto (no
-  // symmetry claims them) and under explicit Sparse; both must be BITWISE
-  // the dense model — seeding order is identical, only the O(N) zero-weight
-  // source scan per destination is skipped.
+  // Fixed-destination patterns seed each destination's pass from its source
+  // list (under Auto too: no symmetry claims them).  A TrafficSpec::matrix
+  // of the same pairs reports no fixed destination and takes the full O(N)
+  // source scan instead.  Seeds land in the same order with the same values,
+  // so the two models must agree BITWISE.
   const topo::ButterflyFatTree ft(2);
   const topo::Mesh mesh(3, 2);
   std::vector<int> shift(static_cast<std::size_t>(mesh.num_processors()));
@@ -302,17 +309,21 @@ TEST(CollapseStrategy, SparseSeedingIsBitwiseDense) {
   };
   const std::vector<Cell> cells{
       {&ft, traffic::TrafficSpec::bit_complement(), CollapseMode::Auto},
-      {&ft, traffic::TrafficSpec::transpose(), CollapseMode::Sparse},
+      {&ft, traffic::TrafficSpec::transpose(), CollapseMode::Dense},
       {&mesh, traffic::TrafficSpec::permutation(shift), CollapseMode::Auto},
   };
   for (const Cell& cell : cells) {
+    const int procs = cell.topo->num_processors();
+    const traffic::TrafficSpec scan =
+        traffic::TrafficSpec::matrix(cell.spec.materialize(procs));
+    ASSERT_GE(cell.spec.fixed_destination(0, procs), 0);
+    ASSERT_LT(scan.fixed_destination(0, procs), 0);
     TrafficBuildOptions build;
     build.collapse = cell.mode;
     const GeneralModel sparse =
         build_traffic_model(*cell.topo, cell.spec, {}, build);
-    const GeneralModel dense = build_traffic_model(*cell.topo, cell.spec);
-    const std::string tag = dense.model_name;
-    EXPECT_EQ(sparse.model_name, dense.model_name);
+    const GeneralModel dense = build_traffic_model(*cell.topo, scan);
+    const std::string tag = sparse.model_name;
     EXPECT_TRUE(sparse.channel_class_of.empty()) << tag;
     ASSERT_EQ(sparse.graph.size(), dense.graph.size()) << tag;
     EXPECT_EQ(sparse.mean_distance, dense.mean_distance) << tag;
@@ -344,13 +355,13 @@ TEST(ScaleSmoke, QuarterMillionProcessorFatTreeSolvesInTestTime) {
   ASSERT_EQ(ft.num_processors(), 262144);
 
   const GeneralModel net =
-      build_traffic_model_collapsed(ft, traffic::TrafficSpec::uniform());
+      build_traffic_model(ft, traffic::TrafficSpec::uniform(), {}, kAuto);
   ASSERT_EQ(net.model_name.rfind("traffic-sym(", 0), 0u);
   EXPECT_EQ(net.graph.size(), 2 * levels);
   EXPECT_TRUE(net.graph.acyclic());
 
   const GeneralModel reference =
-      build_fattree_collapsed(levels, 2, /*exact_conditionals=*/true);
+      oracle::build_fattree_collapsed(levels, 2, /*exact_conditionals=*/true);
   expect_rel(net.mean_distance, reference.mean_distance, 1e-9,
              "mean distance vs closed form");
   const double sat = model_saturation_rate(net, net.opts);
@@ -370,8 +381,8 @@ TEST(ScaleSmoke, LargeHotspotFatTreeBuildsCollapsed) {
   // Hotspot at scale: the pin refines the quotient (levels + 1 destination
   // orbits, one rep pass each) but the build stays O(orbits · channels).
   const topo::ButterflyFatTree ft(7);  // 16,384 processors
-  const GeneralModel net =
-      build_traffic_model_collapsed(ft, traffic::TrafficSpec::hotspot(0.1, 123));
+  const GeneralModel net = build_traffic_model(
+      ft, traffic::TrafficSpec::hotspot(0.1, 123), {}, kAuto);
   ASSERT_EQ(net.model_name.rfind("traffic-sym(", 0), 0u);
   ASSERT_LT(net.graph.size(), 256);
   // The hotspot ejection bundle concentrates ~f·N of the unit flow, so

@@ -6,11 +6,11 @@
 
 #include <cmath>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/hypercube_graph.hpp"
 #include "core/traffic_model.hpp"
 #include "topo/butterfly_fattree.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet::harness {
 namespace {
@@ -48,7 +48,7 @@ TEST(SweepEngine, ParallelSweepBitwiseIdenticalToSerial) {
 }
 
 TEST(SweepEngine, ParallelSweepIdenticalOnGeneralModel) {
-  core::GeneralModel net = core::build_hypercube_collapsed(6);
+  core::GeneralModel net = oracle::build_hypercube_collapsed(6);
   const std::vector<double> lambdas = test_lambdas(net);
   SweepEngine parallel({4, true});
   SweepEngine serial({0, false});
@@ -97,18 +97,39 @@ TEST(SweepEngine, MemoizationSeparatesModels) {
 TEST(SweepEngine, AblationFlipOnLiveModelMissesCache) {
   // Flipping an interface-visible switch on a cached model must MISS (the
   // key covers worm length + ablation), not return the stale estimate.
-  core::GeneralModel net = core::build_fattree_collapsed(3);
+  core::GeneralModel net = oracle::build_fattree_collapsed(3);
   net.opts.worm_flits = 16.0;
   SweepEngine engine;
   const double lambda0 = net.saturation_rate() * 0.8;
   const double with = engine.evaluate(net, lambda0).latency;
-  net.opts.blocking_correction = false;
+  net.opts.ablation.blocking_correction = false;
   const double without = engine.evaluate(net, lambda0).latency;
   EXPECT_NE(with, without);
   EXPECT_EQ(engine.cache_size(), 2u);
   net.opts.worm_flits = 32.0;
   engine.evaluate(net, lambda0);
   EXPECT_EQ(engine.cache_size(), 3u);
+}
+
+TEST(SweepEngine, FiniteBuffersSwitchKeysTheCache) {
+  // The finite_buffers switch changes evaluate() on a tapered fabric, so it
+  // must change the content digest too: two models differing only in that
+  // switch may not share a cache entry.
+  topo::ButterflyFatTree ft(2);
+  ft.set_tier_bandwidth(1, 0.5);
+  core::GeneralModel on =
+      core::build_traffic_model(ft, traffic::TrafficSpec::uniform());
+  core::GeneralModel off = on;
+  off.opts.ablation.finite_buffers = false;
+  EXPECT_NE(on.content_digest(), off.content_digest());
+
+  const double lambda0 = on.saturation_rate() * 0.3;
+  const double direct_on = core::model_latency(on, lambda0, on.opts).latency;
+  const double direct_off = core::model_latency(off, lambda0, off.opts).latency;
+  ASSERT_NE(direct_on, direct_off);
+  SweepEngine engine;
+  EXPECT_EQ(engine.evaluate(on, lambda0).latency, direct_on);
+  EXPECT_EQ(engine.evaluate(off, lambda0).latency, direct_off);
 }
 
 TEST(SweepEngine, IdenticalContentSharesCacheEntries) {
@@ -132,11 +153,11 @@ TEST(SweepEngine, RebuiltModelHitsWarmCacheAfterOriginalDies) {
   SweepEngine engine;
   double first = 0.0;
   {
-    const core::GeneralModel net = core::build_fattree_collapsed(3);
+    const core::GeneralModel net = oracle::build_fattree_collapsed(3);
     first = engine.evaluate(net, 0.002).latency;
   }
   const std::uint64_t misses = engine.cache_misses();
-  const core::GeneralModel again = core::build_fattree_collapsed(3);
+  const core::GeneralModel again = oracle::build_fattree_collapsed(3);
   EXPECT_EQ(engine.evaluate(again, 0.002).latency, first);
   EXPECT_EQ(engine.cache_misses(), misses);
 }
@@ -145,7 +166,7 @@ TEST(SweepEngine, GraphMutationOnLiveGeneralModelMissesCache) {
   // GeneralModel's digest covers the channel graph itself, so state the old
   // interface-level key could not see — an edited rate, a lane retune — now
   // misses instead of serving the stale estimate.
-  core::GeneralModel net = core::build_fattree_collapsed(3);
+  core::GeneralModel net = oracle::build_fattree_collapsed(3);
   SweepEngine engine;
   const double lambda0 = net.saturation_rate() * 0.7;
   const double before = engine.evaluate(net, lambda0).latency;
@@ -195,7 +216,7 @@ TEST(SweepEngine, DrivesModelsThroughTheInterface) {
   // The engine only sees core::NetworkModel; closed-form and graph-backed
   // implementations behave identically behind it.
   const core::FatTreeModel closed({.levels = 3, .worm_flits = 16.0});
-  core::GeneralModel graph = core::build_fattree_collapsed(3);
+  core::GeneralModel graph = oracle::build_fattree_collapsed(3);
   graph.opts.worm_flits = 16.0;
   const core::NetworkModel* models[] = {&closed, &graph};
   SweepEngine engine;

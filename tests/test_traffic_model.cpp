@@ -15,13 +15,13 @@
 #include <cmath>
 #include <vector>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
-#include "core/hypercube_graph.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/channels.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet::core {
 namespace {
@@ -235,7 +235,7 @@ TEST(TrafficModel, UniformMatchesCollapsedBuildersToMachinePrecision) {
   const GeneralModel enumerated =
       build_traffic_model(ft, traffic::TrafficSpec::uniform());
   const GeneralModel collapsed =
-      build_fattree_collapsed(3, 2, /*exact_conditionals=*/true);
+      oracle::build_fattree_collapsed(3, 2, /*exact_conditionals=*/true);
   SolveOptions opts;
   opts.worm_flits = 16.0;
   for (double lambda0 : {0.0005, 0.002}) {
@@ -247,7 +247,7 @@ TEST(TrafficModel, UniformMatchesCollapsedBuildersToMachinePrecision) {
   topo::Hypercube hc(4);
   const GeneralModel cube =
       build_traffic_model(hc, traffic::TrafficSpec::uniform());
-  const GeneralModel cube_collapsed = build_hypercube_collapsed(4);
+  const GeneralModel cube_collapsed = oracle::build_hypercube_collapsed(4);
   for (double lambda0 : {0.001, 0.004}) {
     const LatencyEstimate a = model_latency(cube, lambda0, opts);
     const LatencyEstimate b = model_latency(cube_collapsed, lambda0, opts);
@@ -355,11 +355,11 @@ TEST(TrafficModel, OptionsAndNamingPropagate) {
   topo::Hypercube hc(2);
   SolveOptions opts;
   opts.worm_flits = 32.0;
-  opts.multi_server = false;
+  opts.ablation.multi_server = false;
   const GeneralModel net =
       build_traffic_model(hc, traffic::TrafficSpec::hotspot(0.2), opts);
   EXPECT_DOUBLE_EQ(net.opts.worm_flits, 32.0);
-  EXPECT_FALSE(net.opts.multi_server);
+  EXPECT_FALSE(net.opts.ablation.multi_server);
   EXPECT_NE(net.model_name.find("hotspot"), std::string::npos);
   EXPECT_NE(net.model_name.find(hc.name()), std::string::npos);
 }

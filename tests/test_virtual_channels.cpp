@@ -18,7 +18,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/fattree_graph.hpp"
 #include "core/fattree_model.hpp"
 #include "core/traffic_model.hpp"
 #include "queueing/channel_solver.hpp"
@@ -26,6 +25,8 @@
 #include "topo/butterfly_fattree.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
+
+#include "oracle_builders.hpp"
 
 namespace wormnet {
 namespace {
@@ -136,9 +137,9 @@ TEST(VirtualChannelParity, SingleLaneSolvesBitForBitForEveryTopologyPattern) {
     for (const traffic::TrafficSpec& spec : patterns_for(topo->num_processors())) {
       SolveOptions on;
       on.worm_flits = 16.0;
-      on.virtual_channels = true;
+      on.ablation.virtual_channels = true;
       SolveOptions off = on;
-      off.virtual_channels = false;
+      off.ablation.virtual_channels = false;
       const GeneralModel m_on = core::build_traffic_model(*topo, spec, on);
       const GeneralModel m_off = core::build_traffic_model(*topo, spec, off);
       for (double lambda0 : {0.0005, 0.004, 0.01}) {
@@ -175,7 +176,8 @@ TEST(VirtualChannelParity, ClosedFormMatchesCollapsedGraphForEveryLaneCount) {
     opts.lanes = lanes;
     const core::FatTreeModel closed(opts);
     const GeneralModel graph =
-        core::build_fattree_collapsed(3, 2, /*exact_conditionals=*/false, lanes);
+        oracle::build_fattree_collapsed(3, 2, /*exact_conditionals=*/false,
+                                        lanes);
     SolveOptions sopts;
     sopts.worm_flits = 16.0;
     for (double lambda0 : {0.001, 0.004, 0.008}) {
