@@ -371,14 +371,13 @@ void BM_QueryEngineRetunePatternCollapsed(benchmark::State& state) {
 BENCHMARK(BM_QueryEngineRetunePatternCollapsed)->Unit(benchmark::kMillisecond);
 
 void BM_QueryEngineFaultRetune(benchmark::State& state) {
-  // The fault delta axis at N = 256: a resident dense model alternates
-  // between an N−1 up-link failure and the healthy fabric via
-  // retune_faults.  The FaultedTopology decorator keeps the channel table
-  // index-aligned, so only the destination columns whose routing changed
-  // re-propagate — compare BM_TrafficModelBuildFatTree/4, the cold
-  // FaultedTopology rebuild each availability scenario would otherwise
-  // cost (the N−1 sweep in harness::QueryEngine::availability_n_minus_1
-  // asks this question once per failable link).
+  // The fault axis at N = 256: a resident dense model alternates between
+  // an N−1 up-link failure and the healthy fabric via retune_faults, which
+  // cold-rebuilds on the fault view (one pass per destination) and
+  // re-applies the recorded tunes — compare BM_TrafficModelBuildFatTree/4,
+  // the same build on the healthy fabric (the N−1 sweep in
+  // harness::QueryEngine::availability_n_minus_1 pays this once per
+  // failable link).
   topo::ButterflyFatTree ft(4);
   core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   auto faults = std::make_shared<topo::FaultSet>(ft);
@@ -394,7 +393,7 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
   state.counters["passes/op"] = benchmark::Counter(
       static_cast<double>(passes), benchmark::Counter::kAvgIterations);
   state.SetLabel("N=" + std::to_string(ft.num_processors()) +
-                 " N-1 up-link delta");
+                 " N-1 up-link rebuild");
 }
 BENCHMARK(BM_QueryEngineFaultRetune)->Unit(benchmark::kMillisecond);
 

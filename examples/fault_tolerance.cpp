@@ -6,8 +6,8 @@
 // run degraded?"  A topo::FaultSet names failed links/switches against a
 // base topology; topo::FaultedTopology is the degraded routing view — the
 // same channel structure, so a resident model reaches any failure scenario
-// by an O(affected columns) retune instead of a rebuild, and the
-// QueryEngine sweeps every N−1 scenario through that delta path.
+// by one cold build on that view, and the QueryEngine sweeps every N−1
+// scenario that way without touching the resident.
 //
 // This session:
 //  1. builds a resident model of a healthy levels-3 fat-tree (64 PEs);
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   std::printf("healthy saturation λ₀* = %.6f msg/cycle/PE; querying at %.0f%%\n\n",
               sat, 100.0 * load_frac);
 
-  // -- N−1 sweep: every failable link, via the fault-delta retune path -----
+  // -- N−1 sweep: every failable link, one cold build on each fault view ---
   const auto t0 = Clock::now();
   const harness::AvailabilityReport n1 = engine.availability_n_minus_1(0, lambda0);
   const double sweep_ms =

@@ -934,9 +934,10 @@ struct RetunableTrafficModel::Impl {
   }
 
   /// Cold build for `new_spec` along the planned strategy, replacing the
-  /// resident model and flow state.
-  void rebuild_cold(const traffic::TrafficSpec& new_spec,
-                    const CollapsePlan& plan) {
+  /// resident model and flow state.  Returns the destination (or
+  /// destination-orbit) passes it ran.
+  int rebuild_cold(const traffic::TrafficSpec& new_spec,
+                   const CollapsePlan& plan) {
     WORMNET_SPAN("resident_rebuild_cold", "build");
     const topo::Topology& rt = routing_topo();
     if (plan.use_collapsed) {
@@ -951,6 +952,7 @@ struct RetunableTrafficModel::Impl {
     }
     spec = new_spec;
     apply_tunes();
+    return plan.use_collapsed ? plan.sym.num_proc_orbits : rt.num_processors();
   }
 };
 
@@ -1047,7 +1049,7 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   }
   if (im.is_collapsed) {
     // Collapsed → dense mode switch: no dense flow state to delta against.
-    im.rebuild_cold(new_spec, plan);
+    report.passes = im.rebuild_cold(new_spec, plan);
     report.rebuilt = true;
     return report;
   }
@@ -1109,7 +1111,7 @@ RetuneReport RetunableTrafficModel::retune_traffic(
   // pass with nearly every seed — at that point the sharded cold rebuild is
   // both faster and residue-free.
   if (changed > static_cast<long>(procs) * procs / 4) {
-    im.rebuild_cold(new_spec, plan);
+    report.passes = im.rebuild_cold(new_spec, plan);
     report.rebuilt = true;
     return report;
   }
@@ -1160,7 +1162,6 @@ RetuneReport RetunableTrafficModel::retune_faults(
     std::shared_ptr<const topo::FaultSet> faults) {
   WORMNET_SPAN("retune_faults", "retune");
   Impl& im = *impl_;
-  const int procs = im.topo->num_processors();
   if (faults && faults->empty()) faults.reset();  // empty set == healthy
   if (faults) WORMNET_EXPECTS(&faults->topology() == im.topo);
 
@@ -1169,35 +1170,25 @@ RetuneReport RetunableTrafficModel::retune_faults(
   const std::uint64_t new_digest = faults ? faults->digest() : 0;
   if (old_digest == new_digest) return report;  // same degraded state: no-op
 
-  std::shared_ptr<const topo::FaultedTopology> new_view;
-  if (faults)
-    new_view = std::make_shared<const topo::FaultedTopology>(*im.topo, *faults);
+  // The model is a function of the routing alone, so the degraded model IS
+  // the cold build on the new fault view, re-planned: a degraded view drops
+  // the symmetry (dense), a return to healthy may collapse again.
+  const bool was_collapsed = im.is_collapsed;
+  const std::string old_name = im.net.model_name;
+  const int old_classes = im.net.graph.size();
+  im.fault_set = std::move(faults);
+  im.faulted = im.fault_set ? std::make_shared<const topo::FaultedTopology>(
+                                  *im.topo, *im.fault_set)
+                            : nullptr;
+  report.passes = im.rebuild_cold(
+      im.spec, plan_collapse(im.routing_topo(), im.ct, im.spec, im.build));
+  report.rebuilt = true;
+  report.collapsed = im.is_collapsed;
 
-  // Destinations whose routing differs between the outgoing and incoming
-  // views — the union is exactly the set of columns to re-propagate.
-  std::vector<char> is_affected(static_cast<std::size_t>(procs), 0);
-  if (im.faulted)
-    for (int d : im.faulted->affected_destinations())
-      is_affected[static_cast<std::size_t>(d)] = 1;
-  if (new_view)
-    for (int d : new_view->affected_destinations())
-      is_affected[static_cast<std::size_t>(d)] = 1;
-
-  if (im.is_collapsed) {
-    // A collapsed resident has no dense flow state to delta against; entering
-    // a degraded state rebuilds dense (faults void the symmetry), returning
-    // to healthy re-plans and may collapse again.  That dense fallback is the
-    // fault-orbit follow-on's worst symptom (ROADMAP), so it never passes
-    // silently: a Rebuild cost-class counter in the global registry and a
-    // one-shot Warn naming the broken symmetry class.
-    const std::string broken_name = im.net.model_name;
-    const int broken_classes = im.net.graph.size();
-    im.fault_set = std::move(faults);
-    im.faulted = std::move(new_view);
-    const topo::Topology& rt = im.routing_topo();
-    im.rebuild_cold(im.spec, plan_collapse(rt, im.ct, im.spec, im.build));
-    report.rebuilt = true;
-    report.collapsed = im.is_collapsed;
+  // A collapsed resident that came back dense is the fault-orbit follow-on's
+  // worst symptom (ROADMAP), so it never passes silently: a global-registry
+  // counter and a one-shot Warn naming the broken symmetry.
+  if (was_collapsed && !im.is_collapsed) {
     obs::Registry::global()
         .counter("wormnet_collapsed_fault_dense_rebuilds_total",
                  "reason=broken-symmetry")
@@ -1205,72 +1196,14 @@ RetuneReport RetunableTrafficModel::retune_faults(
     if (!im.warned_collapsed_fault) {
       im.warned_collapsed_fault = true;
       WORMNET_LOG_SUB(Core, Warn)
-          << "collapsed resident '" << broken_name
+          << "collapsed resident '" << old_name
           << "' fell back to a dense rebuild on its first degraded query: "
-          << "the fault breaks its declared symmetry (" << broken_classes
+          << "the fault breaks its declared symmetry (" << old_classes
           << " quotient classes -> " << im.net.graph.size()
           << " dense classes); N-1 sweeps on this resident pay dense costs "
           << "until fault orbits land (ROADMAP)";
     }
-    return report;
   }
-
-  // Dense fault delta: per affected destination, NEGATE the column under the
-  // outgoing view's routing (the DP is linear in its seeds, so negative
-  // seeds reproduce the original contributions sign-flipped exactly), then
-  // re-add it under the incoming view's.  Never escalates to a rebuild —
-  // the work is bounded by 2 passes per affected column, the same order as
-  // a full rebuild's one pass per column, and availability sweeps rely on
-  // the cost class staying Retune for every scenario.
-  const topo::Topology& old_rt = im.routing_topo();
-  DenseFlowState& st = im.state;
-  DestinationPass pass(im.topo->num_nodes());
-  const auto run_delta = [&](const topo::Topology& view, int d, double sign) {
-    bool seeded = false;
-    for (int s = 0; s < procs; ++s) {
-      if (s == d) continue;
-      const double w = im.spec.pair_weight(s, d, procs);
-      if (w <= 0.0) continue;
-      if (!view.reachable(s, d)) {
-        if (sign > 0.0) st.unroutable_weight += w;
-        else st.unroutable_weight -= w;
-        continue;
-      }
-      st.weighted_distance += sign * w * view.distance(s, d);
-      const double frac = w / im.spec.injection_weight(s, procs);
-      pass.in_flows[static_cast<std::size_t>(s)].push_back(
-          {topo::kNoChannel, sign * w, sign * (w * frac)});
-      dfs_route_dag(view, im.ct, s, d, pass);
-      seeded = true;
-    }
-    if (!seeded) return;
-    propagate_flows(
-        d, pass,
-        [&](int ch, double flow, double self) {
-          st.rate[static_cast<std::size_t>(ch)] += flow;
-          st.self[static_cast<std::size_t>(ch)] += self;
-        },
-        [&](int in_ch, int port, double flow) {
-          st.onward[static_cast<std::size_t>(
-              st.onward_off[static_cast<std::size_t>(in_ch)] + port)] += flow;
-        });
-    ++report.passes;
-  };
-  for (int d = 0; d < procs; ++d) {
-    if (!is_affected[static_cast<std::size_t>(d)]) continue;
-    ++report.changed_pairs;  // here: changed destination COLUMNS
-    run_delta(old_rt, d, -1.0);
-    pass.reset();
-    if (new_view) run_delta(*new_view, d, +1.0);
-    else run_delta(*im.topo, d, +1.0);
-    pass.reset();
-  }
-  snap_residues(st);
-
-  im.fault_set = std::move(faults);
-  im.faulted = std::move(new_view);
-  im.net = assemble_dense(im.routing_topo(), im.ct, im.spec, im.opts, st);
-  im.apply_tunes();
   return report;
 }
 

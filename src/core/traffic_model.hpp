@@ -149,13 +149,13 @@ std::string check_collapsed_parity(const topo::Topology& topo,
                                    const GeneralModel& collapsed,
                                    const SolveOptions& opts = {});
 
-/// Outcome of one RetunableTrafficModel::retune_traffic call — the
-/// observability record harness::QueryEngine surfaces as per-query cost
-/// classes.
+/// Outcome of one RetunableTrafficModel::retune_traffic / retune_faults
+/// call — the observability record harness::QueryEngine surfaces as
+/// per-query cost classes.
 struct RetuneReport {
-  /// The full dense propagation re-ran (delta touched most of the matrix,
-  /// or the resident switched from collapsed to dense with no flow state to
-  /// delta against).
+  /// The resident was cold-rebuilt: every fault retune, a pattern delta
+  /// touching most of the matrix, or a collapsed resident switching to dense
+  /// with no flow state to delta against.
   bool rebuilt = false;
   /// Served by the PR 6 symmetric-quotient path: one pass per destination
   /// ORBIT — O(classes) state — instead of per destination.
@@ -163,7 +163,8 @@ struct RetuneReport {
   /// Destination (or destination-orbit) passes actually run.
   int passes = 0;
   /// (src, dst) pairs whose weight or injection split changed between the
-  /// old and new spec (dense path only; 0 on the collapsed path).
+  /// old and new spec (dense retune_traffic only; 0 on the collapsed path
+  /// and for faults).
   long changed_pairs = 0;
 };
 
@@ -182,13 +183,17 @@ struct RetuneReport {
 /// retune composes with the PR 6 quotient path instead: one pass per
 /// destination orbit against O(classes) state.  Whole-matrix changes
 /// (uniform → hotspot, a fraction change touching every row) fall back to
-/// a cold rebuild, reported via RetuneReport::rebuilt.
+/// a cold rebuild, reported via RetuneReport::rebuilt.  Fault changes
+/// always rebuild cold on the new fault view (see retune_faults).
 ///
-/// Correctness contract: after any retune sequence, model() agrees with a
-/// cold build_traffic_model of the current spec to ≤ 1e-12 on every
+/// Correctness contract: after any retune_traffic sequence, model() agrees
+/// with a cold build_traffic_model of the current spec to ≤ 1e-12 on every
 /// channel rate / self_frac / ca2 (the delta path re-associates floating
 /// sums; residues where the true value is 0 are snapped) and ≤ 1e-9 on
-/// latency / saturation (tested in tests/test_query_engine.cpp).
+/// latency / saturation (tested in tests/test_query_engine.cpp).  After a
+/// retune_faults call, model() is bitwise the cold build on
+/// routing_topology() with the recorded tunes applied
+/// (tests/test_fault_model.cpp).
 ///
 /// Lane, load, arrival-process, buffer-depth and bandwidth tunes
 /// (set_uniform_lanes, scale_injection_rates, set_injection_process,
@@ -223,20 +228,19 @@ class RetunableTrafficModel {
   /// class comment); returns what was done.
   RetuneReport retune_traffic(const traffic::TrafficSpec& new_spec);
 
-  /// Fault delta: move the resident to the degraded routing state described
-  /// by `faults` (null or empty = healthy).  The decorated topology keeps
-  /// the base's channel structure, so a dense resident is served IN PLACE:
-  /// for each destination column whose routing differs between the outgoing
-  /// and incoming fault views, the old column is re-propagated with negated
-  /// seeds under the OLD routing and re-added under the NEW — O(affected
-  /// columns) passes, never a rebuild (RetuneReport::changed_pairs counts
-  /// affected columns here).  Collapsed residents rebuild dense on entering
-  /// a degraded state (faults void the symmetry) and may re-collapse on
-  /// returning to healthy.  Demand toward destinations unreachable under
-  /// the faults is dropped at the source and surfaces as
-  /// GeneralModel::unroutable_fraction.  The fault set must have been built
-  /// against this resident's topology; it is retained (shared) until the
-  /// next retune_faults call.
+  /// Move the resident to the degraded routing state described by `faults`
+  /// (null or empty = healthy).  An unchanged fault digest is a no-op;
+  /// otherwise the resident is cold-rebuilt on the new topo::FaultedTopology
+  /// view under the same build options, then the recorded tunes are
+  /// re-applied (RetuneReport::rebuilt; passes = the destination or
+  /// orbit passes run).  A fault moves every destination column on a
+  /// fat-tree, so a column delta would cost more than this rebuild.
+  /// Collapsed residents come back dense in a degraded state (faults void
+  /// the symmetry) and re-collapse on returning to healthy.  Demand toward
+  /// destinations unreachable under the faults is dropped at the source and
+  /// surfaces as GeneralModel::unroutable_fraction.  The fault set must have
+  /// been built against this resident's topology; it is retained (shared)
+  /// until the next retune_faults call.
   RetuneReport retune_faults(std::shared_ptr<const topo::FaultSet> faults);
 
   /// The active fault set (nullptr = healthy).

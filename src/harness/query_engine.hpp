@@ -20,11 +20,11 @@
 //  * buffer delta   → set_uniform_buffers, O(channels);
 //  * bandwidth delta→ scale_bandwidths, O(channels);
 //  * arrival delta  → set_injection_process, O(channels);
-//  * fault delta    → core::RetunableTrafficModel::retune_faults — the
-//    FaultedTopology decorator keeps the channel structure stable, so only
-//    the destination columns whose routing changed re-propagate (dense
-//    residents never rebuild for a fault; collapsed residents rebuild dense
-//    once on entering a degraded state and say so).
+//  * fault delta    → core::RetunableTrafficModel::retune_faults — a cold
+//    rebuild of the variant on its topo::FaultedTopology view (a fault
+//    re-routes every destination column of a fat-tree, so a column delta
+//    would cost more); metered as Rebuild.  The resident baseline is never
+//    touched.
 // Queries sharing the same delta set share ONE prepared model variant;
 // repeated (variant, metric, λ₀) questions — within a batch or across
 // batches — are served from a result cache and reported as Memoized.
@@ -80,8 +80,9 @@ enum class QueryCost {
   /// destinations) passes, or the collapsed orbit path (see the attached
   /// RetuneReport) — plus one solve.
   Retune,
-  /// The pattern delta touched too much of the matrix and the variant was
-  /// cold-rebuilt: the worst case, metered so callers see it.
+  /// The variant was cold-rebuilt: every fault scenario, a pattern delta
+  /// that touched too much of the matrix, or a collapsed resident leaving
+  /// its symmetry.  The worst case, metered so callers see it.
   Rebuild,
 };
 
@@ -208,8 +209,8 @@ class QueryEngine {
   /// N−1 availability sweep: one scenario per failable (switch-to-switch)
   /// undirected link of the resident's topology, each answered as a Latency
   /// query at λ₀ through the normal batch path — variants dedup, answers
-  /// memoize, and the fault view's stable channel structure keeps every
-  /// dense-resident scenario a Retune or cheaper (no per-scenario rebuild).
+  /// memoize, and each new scenario is one cold build on its fault view
+  /// (QueryCost::Rebuild) that leaves the resident untouched.
   AvailabilityReport availability_n_minus_1(int resident_id, double lambda0);
   /// General N−k form: the caller supplies the scenarios (each a FaultSet
   /// built against the resident's topology, failing any number of links or

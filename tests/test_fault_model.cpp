@@ -1,7 +1,7 @@
 // Fault layer: topo::FaultSet / topo::FaultedTopology structure, the
 // connectivity fail-fast checks, graceful degradation through
-// build_traffic_model, and the retune_faults delta path's parity with a
-// cold build on the faulted view.  Plus the solver-hardening fuzz: random
+// build_traffic_model, and retune_faults' bitwise equality with a cold
+// build on the faulted view.  Plus the solver-hardening fuzz: random
 // fault sets x topologies x patterns x loads must keep Kirchhoff
 // conservation on the surviving flows and never emit NaN/Inf from the
 // channel solver (the SolveStatus contract).
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -22,6 +23,7 @@
 #include "topo/channels.hpp"
 #include "topo/graph_checks.hpp"
 #include "topo/hypercube.hpp"
+#include "topo/mesh.hpp"
 
 namespace wormnet {
 namespace {
@@ -285,29 +287,39 @@ TEST(FaultModel, CutFabricReportsDisconnectedNotNaN) {
 }
 
 // ---------------------------------------------------------------------------
-// retune_faults: delta parity with a cold build on the faulted view.
+// retune_faults: a cold rebuild on the fault view, bit for bit.
 // ---------------------------------------------------------------------------
 
-void expect_model_parity(const core::GeneralModel& got,
-                         const core::GeneralModel& want,
-                         const core::SolveOptions& opts,
-                         const std::string& tag) {
+/// Every failable (switch-to-switch) undirected link, canonical endpoint.
+std::vector<std::pair<int, int>> failable_links(const topo::Topology& t) {
+  std::vector<std::pair<int, int>> links;
+  for (int node = 0; node < t.num_nodes(); ++node) {
+    if (t.is_processor(node)) continue;
+    for (int port = 0; port < t.num_ports(node); ++port) {
+      const int peer = t.neighbor(node, port);
+      if (peer == topo::kNoNode || t.is_processor(peer)) continue;
+      if (std::make_pair(peer, t.neighbor_port(node, port)) <
+          std::make_pair(node, port))
+        continue;
+      links.emplace_back(node, port);
+    }
+  }
+  return links;
+}
+
+/// Exact equality: a fault retune IS the cold build on the fault view, so
+/// the resident must match it in content digest (which covers everything
+/// evaluation reads) and in every rate.
+void expect_same_model(const core::GeneralModel& got,
+                       const core::GeneralModel& want, const std::string& tag) {
+  EXPECT_EQ(got.content_digest(), want.content_digest()) << tag;
   ASSERT_EQ(got.graph.size(), want.graph.size()) << tag;
   for (int id = 0; id < want.graph.size(); ++id) {
-    const double w = want.graph.at(id).rate_per_link;
-    EXPECT_NEAR(got.graph.at(id).rate_per_link, w,
-                1e-12 * std::max(1.0, std::abs(w)))
+    EXPECT_EQ(got.graph.at(id).rate_per_link, want.graph.at(id).rate_per_link)
         << tag << " channel " << id;
   }
-  EXPECT_NEAR(got.unroutable_fraction, want.unroutable_fraction, 1e-12) << tag;
-  EXPECT_NEAR(got.mean_distance, want.mean_distance,
-              1e-12 * want.mean_distance)
-      << tag;
-  const double sat = core::model_saturation_rate(want, opts);
-  EXPECT_NEAR(core::model_saturation_rate(got, opts), sat, 1e-9 * sat) << tag;
-  const core::LatencyEstimate a = core::model_latency(got, 0.4 * sat, opts);
-  const core::LatencyEstimate b = core::model_latency(want, 0.4 * sat, opts);
-  EXPECT_NEAR(a.latency, b.latency, 1e-9 * b.latency) << tag;
+  EXPECT_EQ(got.unroutable_fraction, want.unroutable_fraction) << tag;
+  EXPECT_EQ(got.mean_distance, want.mean_distance) << tag;
 }
 
 TEST(FaultRetune, DenseResidentRetunesToColdFaultedBuild) {
@@ -322,30 +334,30 @@ TEST(FaultRetune, DenseResidentRetunesToColdFaultedBuild) {
   auto fs = std::make_shared<topo::FaultSet>(ft);
   fs->fail_link(ft.switch_id(1, 1), topo::ButterflyFatTree::kParentPort0);
   const core::RetuneReport rep = resident.retune_faults(fs);
-  // The contract availability sweeps rely on: dense never rebuilds for a
-  // fault, and only the affected destination columns re-propagate.
-  EXPECT_FALSE(rep.rebuilt);
-  EXPECT_GT(rep.passes, 0);
-  EXPECT_LE(rep.passes, 2 * ft.num_processors());
+  // A fault retune is one cold build on the fault view: one pass per
+  // destination, reported as such.
+  EXPECT_TRUE(rep.rebuilt);
+  EXPECT_EQ(rep.passes, ft.num_processors());
+  EXPECT_EQ(rep.changed_pairs, 0);
   ASSERT_NE(resident.faults(), nullptr);
   EXPECT_EQ(resident.faults()->digest(), fs->digest());
 
   const topo::FaultedTopology view(ft, *fs);
   const core::GeneralModel cold =
       core::build_traffic_model(view, traffic::TrafficSpec::uniform(), opts);
-  expect_model_parity(resident.model(), cold, opts, "N-1 retune");
+  expect_same_model(resident.model(), cold, "N-1 retune");
 
-  // Round-trip: back to healthy restores the resident content at the delta
-  // path's documented 1e-12 bar (the signed re-propagation re-associates
-  // floating sums, so bit identity is not promised — parity is).
+  // Round-trip: back to healthy restores the healthy cold build exactly.
   const core::RetuneReport back = resident.retune_faults(nullptr);
-  EXPECT_FALSE(back.rebuilt);
+  EXPECT_TRUE(back.rebuilt);
+  EXPECT_EQ(back.passes, ft.num_processors());
   EXPECT_EQ(resident.faults(), nullptr);
-  expect_model_parity(resident.model(), healthy_cold, opts, "healthy return");
+  expect_same_model(resident.model(), healthy_cold, "healthy return");
 
   // Same degraded state twice is a no-op.
   resident.retune_faults(fs);
   const core::RetuneReport again = resident.retune_faults(fs);
+  EXPECT_FALSE(again.rebuilt);
   EXPECT_EQ(again.passes, 0);
 }
 
@@ -367,7 +379,54 @@ TEST(FaultRetune, RecordedTunesSurviveFaultRetunes) {
       core::build_traffic_model(view, traffic::TrafficSpec::uniform(), opts);
   cold.set_uniform_lanes(2);
   cold.scale_injection_rates(1.5);
-  expect_model_parity(resident.model(), cold, opts, "lanes+load across fault");
+  expect_same_model(resident.model(), cold, "lanes+load across fault");
+}
+
+// Any retune_faults sequence ends where a cold build on the resident's
+// current routing view ends, with the recorded tunes applied — on a
+// fat-tree, a hypercube and a mesh, through single, double and healthy
+// states.
+TEST(FaultRetune, SequencesMatchColdBuildsBitwise) {
+  const topo::ButterflyFatTree ft(3);
+  const topo::Hypercube hc(6);
+  const topo::Mesh mesh(8, 2);
+  const std::pair<const topo::Topology*, std::string> cases[] = {
+      {&ft, "bft3"}, {&hc, "hypercube6"}, {&mesh, "mesh8x8"}};
+  core::SolveOptions opts;
+  opts.worm_flits = 16.0;
+  const traffic::TrafficSpec spec = traffic::TrafficSpec::uniform();
+  for (const auto& [t, name] : cases) {
+    const std::vector<std::pair<int, int>> links = failable_links(*t);
+    ASSERT_GE(links.size(), 2u) << name;
+    const std::pair<int, int> a = links.front();
+    const std::pair<int, int> b = links[links.size() / 2];
+    auto one = std::make_shared<topo::FaultSet>(*t);
+    one->fail_link(a.first, a.second);
+    auto other = std::make_shared<topo::FaultSet>(*t);
+    other->fail_link(b.first, b.second);
+    auto both = std::make_shared<topo::FaultSet>(*t);
+    both->fail_link(a.first, a.second);
+    both->fail_link(b.first, b.second);
+
+    core::RetunableTrafficModel resident(*t, spec, opts);
+    resident.set_uniform_lanes(2);
+    resident.set_uniform_buffers(4);
+    resident.scale_injection_rates(1.25);
+    const std::shared_ptr<const topo::FaultSet> sequence[] = {one, other, both,
+                                                              nullptr, both};
+    for (std::size_t i = 0; i < std::size(sequence); ++i) {
+      const std::string tag = name + " step " + std::to_string(i);
+      const core::RetuneReport rep = resident.retune_faults(sequence[i]);
+      EXPECT_TRUE(rep.rebuilt) << tag;
+      EXPECT_EQ(rep.passes, t->num_processors()) << tag;
+      core::GeneralModel cold =
+          core::build_traffic_model(resident.routing_topology(), spec, opts);
+      cold.set_uniform_lanes(2);
+      cold.set_uniform_buffers(4);
+      cold.scale_injection_rates(1.25);
+      expect_same_model(resident.model(), cold, tag);
+    }
+  }
 }
 
 TEST(FaultRetune, CollapsedResidentRebuildsDenseAndRecollapses) {
@@ -386,21 +445,28 @@ TEST(FaultRetune, CollapsedResidentRebuildsDenseAndRecollapses) {
   // Faults void the declared symmetry: the resident rebuilds dense, says so,
   // and matches the dense cold build on the faulted view.
   EXPECT_TRUE(rep.rebuilt);
+  EXPECT_FALSE(rep.collapsed);
+  EXPECT_EQ(rep.passes, ft.num_processors());
   EXPECT_FALSE(resident.collapsed());
   const topo::FaultedTopology view(ft, *fs);
   const core::GeneralModel cold =
       core::build_traffic_model(view, traffic::TrafficSpec::uniform(), opts);
-  expect_model_parity(resident.model(), cold, opts, "collapsed->faulted");
+  expect_same_model(resident.model(), cold, "collapsed->faulted");
 
-  // Returning to healthy serves via the dense delta path (the resident is
-  // dense now, so no rebuild) and matches the healthy reference — it simply
-  // stays dense rather than re-collapsing.
+  // Returning to healthy re-plans under Auto and collapses again: the
+  // resident is the Auto cold build, and the quotient passes the dense
+  // parity check.
   const core::RetuneReport back = resident.retune_faults(nullptr);
-  EXPECT_FALSE(back.rebuilt);
-  expect_model_parity(
-      resident.model(),
-      core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), opts),
-      opts, "collapsed->faulted->healthy");
+  EXPECT_TRUE(back.rebuilt);
+  EXPECT_TRUE(back.collapsed);
+  EXPECT_TRUE(resident.collapsed());
+  const core::GeneralModel auto_cold = core::build_traffic_model(
+      ft, traffic::TrafficSpec::uniform(), opts, build);
+  EXPECT_EQ(back.passes, 1);  // uniform traffic: one destination orbit
+  expect_same_model(resident.model(), auto_cold, "collapsed->faulted->healthy");
+  EXPECT_EQ(core::check_collapsed_parity(ft, traffic::TrafficSpec::uniform(),
+                                         resident.model(), opts),
+            "");
 }
 
 TEST(FaultRetune, EmptyFaultSetKeepsResidualSymmetry) {
@@ -424,23 +490,6 @@ TEST(FaultRetune, EmptyFaultSetKeepsResidualSymmetry) {
 // ---------------------------------------------------------------------------
 // Solver-hardening fuzz: random fault sets x topologies x patterns x loads.
 // ---------------------------------------------------------------------------
-
-/// Every failable (switch-to-switch) undirected link, canonical endpoint.
-std::vector<std::pair<int, int>> failable_links(const topo::Topology& t) {
-  std::vector<std::pair<int, int>> links;
-  for (int node = 0; node < t.num_nodes(); ++node) {
-    if (t.is_processor(node)) continue;
-    for (int port = 0; port < t.num_ports(node); ++port) {
-      const int peer = t.neighbor(node, port);
-      if (peer == topo::kNoNode || t.is_processor(peer)) continue;
-      if (std::make_pair(peer, t.neighbor_port(node, port)) <
-          std::make_pair(node, port))
-        continue;
-      links.emplace_back(node, port);
-    }
-  }
-  return links;
-}
 
 /// Kirchhoff on the survivors: every switch forwards exactly what it
 /// receives, network-wide injection equals ejection, dead channels carry

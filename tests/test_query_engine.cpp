@@ -421,6 +421,8 @@ TEST(QueryEngine, CostClassesReflectThePlannedWork) {
     const auto res = qe.run(q);
     EXPECT_EQ(res.cost, QueryCost::Rebuild);
     EXPECT_TRUE(res.retune.rebuilt);
+    // The cold rebuild reports the passes it ran: one per destination.
+    EXPECT_EQ(res.retune.passes, ft.num_processors());
   }
   {  // tune-only axes: reevaluate
     WhatIfQuery q;
