@@ -513,7 +513,7 @@ void BM_QueryEngineThroughput(benchmark::State& state) {
       benchmark::DoNotOptimize(results.front().est.latency);
     }
     // Registry-sourced counters on the --json row: how the engine actually
-    // served the batches (cost classes, cache traffic), scraped from the
+    // served the batches (cost classes, variants), scraped from the
     // same publish_metrics series a live dashboard reads.
     obs::Registry reg;
     engine.publish_metrics(reg, "bench");
@@ -521,8 +521,6 @@ void BM_QueryEngineThroughput(benchmark::State& state) {
         reg.value("wormnet_query_served", "engine=bench,cost=retune");
     state.counters["rebuilds"] =
         reg.value("wormnet_query_served", "engine=bench,cost=rebuild");
-    state.counters["cache_hits"] =
-        reg.value("wormnet_sweep_cache_hits", "engine=bench");
     state.counters["variants"] =
         reg.value("wormnet_query_variants_prepared", "engine=bench");
   } else {

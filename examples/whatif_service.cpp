@@ -118,10 +118,11 @@ int main(int argc, char** argv) {
               "(%.1f µs/query mean)\n",
               results.size(), wall_ms, 1000.0 * results.size() / wall_ms,
               1000.0 * wall_ms / results.size());
-  std::printf("variants prepared: %llu   sweep cache hits/misses: %llu/%llu\n\n",
+  std::printf("variants prepared: %llu   answer cache: %zu entries, "
+              "%llu memoized\n\n",
               static_cast<unsigned long long>(engine.variants_prepared()),
-              static_cast<unsigned long long>(engine.sweep_cache_hits()),
-              static_cast<unsigned long long>(engine.sweep_cache_misses()));
+              engine.answer_cache_size(),
+              static_cast<unsigned long long>(engine.served_memoized()));
 
   // A few sample answers, the way a console would render them.
   std::printf("sample answers:\n");

@@ -21,10 +21,14 @@ double find_saturation_rate(const std::function<double(double)>& service_of,
   double hi = upper_bound;
   // Ensure the bracket: grow hi if g(hi) is somehow still negative (cannot
   // happen for wormhole x̄ >= s_f with hi = 1/s_f, but keep the solver
-  // generic for custom service functions).
-  for (int grow = 0; grow < 64 && g(hi) < 0.0; ++grow) hi *= 2.0;
+  // generic for custom service functions); a rejected hi becomes lo.
+  for (int grow = 0; grow < 64 && g(hi) < 0.0; ++grow) {
+    lo = hi;
+    hi *= 2.0;
+  }
   for (int it = 0; it < iterations; ++it) {
     const double mid = 0.5 * (lo + hi);
+    if (!(lo < mid && mid < hi)) break;  // collapsed: no step can move it
     if (g(mid) < 0.0)
       lo = mid;
     else

@@ -25,7 +25,10 @@ namespace wormnet::core {
 ///  * `upper_bound` — any rate known to be at/above saturation, e.g. 1/s_f
 ///                    (the injection channel can never serve faster than one
 ///                    worm per s_f cycles);
-///  * `iterations`  — bisection steps (each halves the bracket).
+///  * `iterations`  — cap on bisection steps (each halves the bracket).
+/// Stops early once the midpoint rounds onto an endpoint (adjacent doubles):
+/// no later step could move the bracket, so the result is bitwise the
+/// full-cap answer and no λ₀ is probed twice.
 double find_saturation_rate(const std::function<double(double)>& service_of,
                             double upper_bound, int iterations = 60);
 

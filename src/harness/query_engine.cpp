@@ -116,16 +116,13 @@ struct QueryEngine::Impl {
   std::unique_ptr<util::ThreadPool> pool;  ///< null when serial
   std::vector<std::unique_ptr<Resident>> residents;
   std::unordered_map<std::uint64_t, int> resident_by_key;
-  SweepEngine sweep;  ///< serial: evaluate() is called from our own workers
   std::unordered_map<std::uint64_t, QueryResult> answers;
 
   std::uint64_t served = 0, n_memoized = 0, n_reevaluate = 0, n_retune = 0,
                 n_rebuild = 0, n_variants = 0;
   double batch_seconds = 0.0;  ///< wall time inside run_batch, for queries/sec
 
-  explicit Impl(Options o)
-      : opts(o),
-        sweep(SweepEngine::Options{1, /*parallel=*/false, o.memoize}) {
+  explicit Impl(Options o) : opts(o) {
     if (opts.parallel) pool = std::make_unique<util::ThreadPool>(opts.threads);
   }
 
@@ -164,10 +161,10 @@ struct QueryEngine::Impl {
     res.retune = v.report;
     switch (q.metric) {
       case QueryMetric::Latency:
-        res.est = sweep.evaluate(m, q.lambda0);
+        res.est = m.evaluate(q.lambda0);
         break;
       case QueryMetric::Saturation:
-        res.saturation_rate = sweep.saturation_rate(m);
+        res.saturation_rate = m.saturation_rate();
         break;
       case QueryMetric::ClassBreakdown: {
         const core::SolveResult sol = m.solve(q.lambda0);
@@ -448,21 +445,14 @@ std::uint64_t QueryEngine::served_rebuild() const { return impl_->n_rebuild; }
 std::uint64_t QueryEngine::variants_prepared() const {
   return impl_->n_variants;
 }
-std::uint64_t QueryEngine::sweep_cache_hits() const {
-  return impl_->sweep.cache_hits();
-}
-std::uint64_t QueryEngine::sweep_cache_misses() const {
-  return impl_->sweep.cache_misses();
-}
+std::uint64_t QueryEngine::sweep_cache_hits() const { return 0; }
+std::uint64_t QueryEngine::sweep_cache_misses() const { return 0; }
 std::size_t QueryEngine::answer_cache_size() const {
   return impl_->answers.size();
 }
 double QueryEngine::batch_seconds() const { return impl_->batch_seconds; }
 
-void QueryEngine::clear_cache() {
-  impl_->answers.clear();
-  impl_->sweep.clear_cache();
-}
+void QueryEngine::clear_cache() { impl_->answers.clear(); }
 
 void QueryEngine::publish_metrics(obs::Registry& reg,
                                   std::string_view label) const {
@@ -491,7 +481,6 @@ void QueryEngine::publish_metrics(obs::Registry& reg,
       .set(im.batch_seconds > 0.0
                ? static_cast<double>(im.served) / im.batch_seconds
                : 0.0);
-  im.sweep.publish_metrics(reg, label);
 }
 
 }  // namespace wormnet::harness

@@ -32,9 +32,9 @@
 // Batches fan out on a util::ThreadPool.  Every evaluation is a pure
 // function of (model content, λ₀), so a parallel batch is BITWISE-identical
 // to a serial one (tested in test_query_engine.cpp); the engine only
-// reorders work, never arithmetic.  Latency points additionally flow
-// through a content-keyed SweepEngine, so what-if answers and ordinary
-// sweeps share one memo pool.
+// reorders work, never arithmetic.  The result cache is the engine's one
+// memo layer: a fresh question runs straight on its variant model, so an
+// answer is bitwise what that model's evaluate()/saturation_rate() give.
 //
 // Observability: every answer carries a QueryCost class (Memoized /
 // Reevaluate / Retune / Rebuild) and the core::RetuneReport of its
@@ -46,11 +46,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arrivals/arrival_process.hpp"
 #include "core/traffic_model.hpp"
-#include "harness/sweep_engine.hpp"
 #include "topo/fault.hpp"
 #include "topo/topology.hpp"
 #include "traffic/traffic_spec.hpp"
@@ -228,7 +228,8 @@ class QueryEngine {
   std::uint64_t served_rebuild() const;
   /// Distinct model variants prepared across all batches.
   std::uint64_t variants_prepared() const;
-  /// The shared latency-point memo pool (content-keyed SweepEngine).
+  /// Always 0: the engine keeps no per-λ cache.  Kept only because
+  /// perfbench/ reads them; drop them when perfbench/ next changes.
   std::uint64_t sweep_cache_hits() const;
   std::uint64_t sweep_cache_misses() const;
   /// Result-cache entries currently held (answers memoized across batches).
@@ -238,11 +239,11 @@ class QueryEngine {
   /// are unaffected); queries_served() / batch_seconds() is the engine's
   /// measured queries/sec.
   double batch_seconds() const;
-  /// Drop the result cache and the sweep cache (residents stay warm).
+  /// Drop the result cache (residents stay warm).
   void clear_cache();
 
   /// Publish the cost-class counters (as a labeled gauge family — the
-  /// cost-class histogram), cache sizes/rates, resident count and measured
+  /// cost-class histogram), answer-cache size, resident count and measured
   /// queries/sec into `reg` under labels "engine=<label>" (one-shot;
   /// idempotent).
   void publish_metrics(obs::Registry& reg, std::string_view label) const;

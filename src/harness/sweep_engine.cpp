@@ -15,11 +15,6 @@ namespace wormnet::harness {
 // copy here once split them into distinct cache keys).
 using util::double_bits;
 
-SweepEngine::Key SweepEngine::make_key(const core::NetworkModel& model,
-                                       double lambda0) {
-  return Key{model.content_digest(), double_bits(lambda0)};
-}
-
 std::size_t SweepEngine::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(util::hash_mix(k.digest, k.lambda_bits));
 }
@@ -52,7 +47,12 @@ void SweepEngine::store(const Key& key, const core::LatencyEstimate& est) {
 
 core::LatencyEstimate SweepEngine::evaluate(const core::NetworkModel& model,
                                             double lambda0) {
-  const Key key = make_key(model, lambda0);
+  return evaluate_keyed(model, model.content_digest(), lambda0);
+}
+
+core::LatencyEstimate SweepEngine::evaluate_keyed(
+    const core::NetworkModel& model, std::uint64_t digest, double lambda0) {
+  const Key key{digest, double_bits(lambda0)};
   core::LatencyEstimate est;
   if (lookup(key, est)) return est;
   est = model.evaluate(lambda0);
@@ -218,9 +218,11 @@ double SweepEngine::saturation_rate(const core::NetworkModel& model) {
   WORMNET_EXPECTS(sf > 0.0);
   // The same Eq. 26 bisection the models run themselves, but with every
   // probe routed through the cache: repeating the search is free, and the
-  // probes seed the cache for later sweeps near saturation.
+  // probes seed the cache for later sweeps near saturation.  The digest is
+  // hoisted once per search, as sweep_lambda does.
+  const std::uint64_t digest = model.content_digest();
   return core::find_saturation_rate(
-      [&](double lambda0) { return evaluate(model, lambda0).inj_service; },
+      [&](double l) { return evaluate_keyed(model, digest, l).inj_service; },
       1.0 / sf);
 }
 

@@ -21,8 +21,7 @@
 // tuning; see the digest's own contract) — combined with the λ₀ bit
 // pattern, hoisted once per batch sweep.  Consequences:
 //  * two model OBJECTS with identical content share entries: a rebuilt,
-//    cloned or delta-retuned-back model hits the warm cache, which is what
-//    the QueryEngine's resident/evicted model lifecycle needs;
+//    cloned or delta-retuned-back model hits the warm cache;
 //  * a model may be destroyed while the engine lives on — a later model at
 //    a recycled address can never read stale data (the footgun the old
 //    address-based key documented is gone);
@@ -185,10 +184,10 @@ class SweepEngine {
     std::size_t operator()(const Key& k) const;
   };
 
-  /// Cache key for one (model content, λ₀) evaluation.  The digest is a
-  /// pure function of the model's configuration — batch entry points hoist
-  /// it once per sweep instead of recomputing per point.
-  static Key make_key(const core::NetworkModel& model, double lambda0);
+  /// Evaluate one point through the cache under `digest`, the model's
+  /// content_digest() hoisted once per multi-point call.
+  core::LatencyEstimate evaluate_keyed(const core::NetworkModel& model,
+                                       std::uint64_t digest, double lambda0);
 
   /// Cache lookup; returns true and fills `out` on a hit.
   bool lookup(const Key& key, core::LatencyEstimate& out);

@@ -4,9 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/fattree_model.hpp"
 #include "core/network_model.hpp"
+#include "core/traffic_model.hpp"
+#include "topo/butterfly_fattree.hpp"
+#include "topo/mesh.hpp"
 #include "util/math.hpp"
 
 #include "oracle_builders.hpp"
@@ -45,6 +52,69 @@ TEST(Saturation, GrowsBracketWhenUpperBoundTooSmall) {
   // must find it anyway.
   const double rate = find_saturation_rate([](double) { return 20.0; }, 0.001);
   EXPECT_NEAR(rate, 0.05, 1e-6);
+}
+
+/// The solver before its early stop: grow the bracket, then exactly 60
+/// bisection steps.  Kept as the oracle the stopping solver must match.
+double reference_bisection(const std::function<double(double)>& service_of,
+                           double upper_bound) {
+  auto g = [&](double lambda) {
+    const double x = service_of(lambda);
+    if (!std::isfinite(x)) return 1.0;
+    return lambda * x - 1.0;
+  };
+  double lo = 0.0;
+  double hi = upper_bound;
+  for (int grow = 0; grow < 64 && g(hi) < 0.0; ++grow) hi *= 2.0;
+  for (int it = 0; it < 60; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (g(mid) < 0.0)
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+TEST(Saturation, NeverProbesTheSameRateTwice) {
+  // Once the bracket collapses to adjacent doubles the midpoint rounds onto
+  // an endpoint; the solver must stop there instead of re-probing it, and
+  // still return the full 60-step answer bit for bit.
+  struct Case {
+    std::string tag;
+    std::function<double(double)> service;
+    double upper_bound;
+  };
+  const GeneralModel mesh = build_traffic_model(
+      topo::Mesh(4, 2), traffic::TrafficSpec::uniform());
+  const GeneralModel bft = build_traffic_model(
+      topo::ButterflyFatTree(3), traffic::TrafficSpec::uniform());
+  const std::vector<Case> cases = {
+      {"constant", [](double) { return 20.0; }, 1.0},
+      {"linear", [](double l) { return 10.0 + 100.0 * l; }, 1.0},
+      {"blow-up",
+       [](double l) { return l < 0.04 ? 10.0 / (1.0 - l / 0.04) : util::kInf; },
+       1.0},
+      {"bracket-growth", [](double) { return 20.0; }, 0.001},
+      {"mesh4x4",
+       [&](double l) { return mesh.evaluate(l).inj_service; },
+       1.0 / mesh.worm_flits()},
+      {"bft3",
+       [&](double l) { return bft.evaluate(l).inj_service; },
+       1.0 / bft.worm_flits()},
+  };
+  for (const Case& c : cases) {
+    std::vector<double> probes;
+    const double rate = find_saturation_rate(
+        [&](double l) {
+          probes.push_back(l);
+          return c.service(l);
+        },
+        c.upper_bound);
+    const std::set<double> distinct(probes.begin(), probes.end());
+    EXPECT_EQ(distinct.size(), probes.size()) << c.tag;
+    EXPECT_EQ(rate, reference_bisection(c.service, c.upper_bound)) << c.tag;
+  }
 }
 
 TEST(Saturation, FatTreeModelAndGraphAgree) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/fattree_model.hpp"
 #include "core/traffic_model.hpp"
@@ -188,6 +190,40 @@ TEST(SweepEngine, SaturationMatchesModelsOwnSolver) {
   const std::uint64_t misses = engine.cache_misses();
   engine.saturation_rate(model);
   EXPECT_EQ(engine.cache_misses(), misses);
+}
+
+/// Delegates to a closed-form fat-tree and counts content_digest() calls.
+class DigestCountingModel final : public core::NetworkModel {
+ public:
+  explicit DigestCountingModel(const core::FatTreeModel& inner)
+      : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  double worm_flits() const override { return inner_.worm_flits(); }
+  queueing::AblationOptions ablation() const override {
+    return inner_.ablation();
+  }
+  std::uint64_t content_digest() const override {
+    ++digests;
+    return inner_.content_digest();
+  }
+  core::LatencyEstimate evaluate(double lambda0) const override {
+    return inner_.evaluate(lambda0);
+  }
+  mutable int digests = 0;
+
+ private:
+  const core::FatTreeModel& inner_;
+};
+
+TEST(SweepEngine, SaturationHashesTheModelOncePerSearch) {
+  const core::FatTreeModel inner({.levels = 3, .worm_flits = 16.0});
+  const DigestCountingModel model(inner);
+  SweepEngine engine({1, /*parallel=*/false, /*memoize=*/true});
+  EXPECT_EQ(engine.saturation_rate(model), inner.saturation_rate());
+  EXPECT_EQ(model.digests, 1);
+  // A warm repeat is served from cache and still hashes once.
+  engine.saturation_rate(model);
+  EXPECT_EQ(model.digests, 2);
 }
 
 TEST(SweepEngine, SweepLoadConvertsUnits) {
