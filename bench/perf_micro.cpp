@@ -60,6 +60,23 @@ void BM_GeneralSolverMeshPerChannel(benchmark::State& state) {
 }
 BENCHMARK(BM_GeneralSolverMeshPerChannel)->Arg(8)->Arg(16);
 
+void BM_GeneralSaturationMeshPerChannel(benchmark::State& state) {
+  // One Eq. 26 search (~55 probes) on the per-channel mesh: the graph is
+  // compiled into one SolvePlan per search, so this tracks ~55 sweeps plus
+  // one BM_GeneralSolverMeshPerChannel's worth of plan building.
+  topo::Mesh mesh(static_cast<int>(state.range(0)), 2);
+  const core::GeneralModel net =
+      core::build_traffic_model(mesh, traffic::TrafficSpec::uniform());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.saturation_rate());
+  }
+  state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
+}
+BENCHMARK(BM_GeneralSaturationMeshPerChannel)
+    ->Arg(8)
+    ->Arg(16)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_SweepEngineColdSweep(benchmark::State& state) {
   // A 32-point λ-sweep through the engine with caching disabled: the cost
   // of batched dispatch itself.

@@ -74,30 +74,41 @@ std::vector<int> ChannelGraph::reverse_topological_order() const {
   // Kahn's algorithm on the dependency relation "x_i needs x_j" (i -> j for
   // every transition).  Reverse-topological means: emit a class only after
   // every class it depends on has been emitted, i.e. process out-degree-zero
-  // (terminal) classes first.
-  const int n = size();
-  std::vector<int> remaining_deps(static_cast<std::size_t>(n), 0);
-  std::vector<std::vector<int>> dependents(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    for (const Transition& t : at(i).next) {
-      ++remaining_deps[static_cast<std::size_t>(i)];
-      dependents[static_cast<std::size_t>(t.target)].push_back(i);
-    }
+  // (terminal) classes first.  The dependents of class j sit in one flat
+  // CSR array, dependents[first[j], first[j+1]), in transition order.
+  const std::size_t n = classes_.size();
+  std::vector<int> remaining_deps(n);
+  std::vector<std::size_t> first(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    remaining_deps[i] = static_cast<int>(classes_[i].next.size());
+    for (const Transition& t : classes_[i].next)
+      ++first[static_cast<std::size_t>(t.target)];
+  }
+  // Inclusive prefix sums: first[j] is the END of j's segment.  Filling back
+  // to front walks each cursor down to its segment's start.
+  for (std::size_t j = 0; j < n; ++j) first[j + 1] += first[j];
+  std::vector<int> dependents(first[n]);
+  for (std::size_t i = n; i-- > 0;) {
+    const std::vector<Transition>& next = classes_[i].next;
+    for (auto t = next.rbegin(); t != next.rend(); ++t)
+      dependents[--first[static_cast<std::size_t>(t->target)]] = static_cast<int>(i);
   }
   std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(n));
+  order.reserve(n);
   std::vector<int> ready;
-  for (int i = 0; i < n; ++i)
-    if (remaining_deps[static_cast<std::size_t>(i)] == 0) ready.push_back(i);
+  ready.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (remaining_deps[i] == 0) ready.push_back(static_cast<int>(i));
   while (!ready.empty()) {
-    const int c = ready.back();
+    const auto c = static_cast<std::size_t>(ready.back());
     ready.pop_back();
-    order.push_back(c);
-    for (int dep : dependents[static_cast<std::size_t>(c)]) {
+    order.push_back(static_cast<int>(c));
+    for (std::size_t k = first[c]; k < first[c + 1]; ++k) {
+      const int dep = dependents[k];
       if (--remaining_deps[static_cast<std::size_t>(dep)] == 0) ready.push_back(dep);
     }
   }
-  if (static_cast<int>(order.size()) != n) return {};  // cycle
+  if (order.size() != n) return {};  // cycle
   return order;
 }
 

@@ -17,177 +17,196 @@ namespace {
 
 using queueing::ChannelSolver;
 
-/// Lane multiplicity as the queueing layer sees it: on a slow or
-/// credit-limited link (drain_floor > 0) extra lanes neither add capacity
-/// nor shorten the head-of-line wait — equal-length worms time-sharing a
-/// bandwidth-limited link finish no sooner on average than in FIFO order —
-/// so waits, blocking and occupancy treat the channel as single-lane and
-/// the sharing stretch lives in lane_share_factor instead.  Unit links
-/// keep their true lane count (floor 0 — including the whole default
-/// path, bit for bit).
-int model_lanes(const ChannelSolver& solver, const ChannelClass& cls) {
-  return solver.drain_floor(cls.bandwidth, cls.buffer_depth) > 0.0 ? 1
-                                                                   : cls.lanes;
+/// Σ w·value_of(id) / Σ w over the injection classes, with uniform weights
+/// when `weights` is empty: the Eq. 2 average that estimate_latency and the
+/// saturation probes both take, so the two agree bit for bit.
+template <class ValueOf>
+double injection_average(const std::vector<int>& injection_classes,
+                         const std::vector<double>& weights, ValueOf value_of) {
+  WORMNET_EXPECTS(!injection_classes.empty());
+  WORMNET_EXPECTS(weights.empty() || weights.size() == injection_classes.size());
+  double sum = 0.0;
+  double weight_sum = 0.0;
+  for (std::size_t i = 0; i < injection_classes.size(); ++i) {
+    const double w = weights.empty() ? 1.0 : weights[i];
+    sum += w * value_of(injection_classes[i]);
+    weight_sum += w;
+  }
+  WORMNET_EXPECTS(weight_sum > 0.0);
+  return sum / weight_sum;
 }
 
-/// W̄ of the bundle serving class `j` at the solve's injection scale, at the
-/// class's arrival SCV (the bursty-arrivals extension; ca2 == 1 reproduces
-/// the paper's Poisson wait bit for bit).
-double bundle_wait(const ChannelSolver& solver, const ChannelClass& cls,
-                   double xbar, double injection_scale) {
-  return solver.bundle_wait(cls.servers, model_lanes(solver, cls),
-                            cls.rate_per_link * injection_scale, xbar, cls.ca2);
+}  // namespace
+
+SolvePlan::SolvePlan(const ChannelGraph& graph, const SolveOptions& opts)
+    : solver_(opts.worm_flits, opts.ablation), opts_(opts) {
+  WORMNET_EXPECTS(graph.validate().empty());
+  const int n = graph.size();
+  std::size_t edge_count = 0;
+  for (int id = 0; id < n; ++id) edge_count += graph.at(id).next.size();
+  classes_.reserve(static_cast<std::size_t>(n));
+  edge_begin_.reserve(static_cast<std::size_t>(n) + 1);
+  edges_.reserve(edge_count);
+  edge_begin_.push_back(0);
+  for (int id = 0; id < n; ++id) {
+    const ChannelClass& c = graph.at(id);
+    const double floor = solver_.drain_floor(c.bandwidth, c.buffer_depth);
+    // On a slow or credit-limited link (drain floor > 0) extra lanes
+    // neither add capacity nor shorten the head-of-line wait — equal-length
+    // worms time-sharing a bandwidth-limited link finish no sooner on
+    // average than in FIFO order — so waits and occupancy treat the channel
+    // as single-lane and the sharing stretch lives in lane_share_factor
+    // instead.  Unit links keep their true lane count.
+    classes_.push_back({c.servers, c.lanes, floor > 0.0 ? 1 : c.lanes,
+                        c.buffer_depth, c.terminal, c.rate_per_link, c.ca2,
+                        c.bandwidth, floor, solver_.hop_excess(c.link_latency)});
+    for (const Transition& t : c.next) {
+      // Eq. 9/10 factor, discounted by the target's lane multiplicity (an
+      // L-lane channel blocks only when all L lanes are held) and by its
+      // finite buffer credit B/(B+b).  True lane count here, not
+      // model_lanes: an L-lane slow link still lets an arriving worm slip
+      // past a blocked one.
+      const ChannelClass& to = graph.at(t.target);
+      edges_.push_back({t.target, t.weight,
+                        solver_.blocking_factor(to.servers, to.lanes,
+                                                c.rate_per_link, to.rate_per_link,
+                                                t.route_prob, to.bandwidth,
+                                                to.buffer_depth)});
+    }
+    edge_begin_.push_back(edges_.size());
+  }
+  order_ = graph.reverse_topological_order();
 }
 
-/// Eq. 9/10 factor for a transition from class `from` into class `to`,
-/// discounted by the target's lane multiplicity (an L-lane channel blocks
-/// only when all L lanes are held) and by the target's finite buffer credit
-/// B/(B+b) (heterogeneous extension; exactly 1 at B = ∞).  Rates at unit
-/// injection scale: the λ_in/λ_out ratio is scale-invariant.
-double blocking_factor(const ChannelSolver& solver, const ChannelClass& from,
-                       const ChannelClass& to, const Transition& t) {
-  // True lane count here, not model_lanes: an L-lane slow link still lets
-  // an arriving worm slip past a blocked one (head-of-line relief is about
-  // lane availability, not link capacity), so the /L discount stands even
-  // where the wait and occupancy treat the link as single-lane.
-  return solver.blocking_factor(to.servers, to.lanes, from.rate_per_link,
-                                to.rate_per_link, t.route_prob, to.bandwidth,
-                                to.buffer_depth);
+/// W̄ of the bundle serving class `id` at its arrival SCV (the bursty-
+/// arrivals extension; ca2 == 1 reproduces the paper's Poisson wait bit for
+/// bit).
+double SolvePlan::wait_of(std::size_t id, double xbar, double injection_scale) const {
+  const Class& c = classes_[id];
+  return solver_.bundle_wait(c.servers, c.model_lanes, c.unit_rate * injection_scale,
+                             xbar, c.ca2);
 }
 
-/// One evaluation of Eq. 11 for class `i` given current service times, plus
-/// the heterogeneous-link terms of channel i itself: the lane-multiplexing
+/// One evaluation of Eq. 11 for class `id` given current service times, plus
+/// the heterogeneous-link terms of the channel itself: the lane-multiplexing
 /// stretch and pipeline latency add to the composed time, while the
 /// slow/credit-limited drain enters as a FLOOR — a rigid worm pipelines
 /// through consecutive slow links at the bottleneck rate, so the drain
 /// stretch of a path is the max over its channels, never the sum (see
 /// ChannelSolver::drain_floor).  All terms vanish in the paper's uniform
 /// single-lane network — the exact recurrence.
-double compose_service_time(const ChannelSolver& solver, const ChannelGraph& graph,
-                            int i, const std::vector<double>& x,
-                            const std::vector<double>& waits,
-                            double injection_scale) {
-  const ChannelClass& cls = graph.at(i);
-  double excess = solver.hop_excess(cls.link_latency);
+double SolvePlan::compose(std::size_t id, double injection_scale,
+                          const std::vector<double>& x,
+                          const std::vector<double>& waits) const {
+  const Class& c = classes_[id];
+  double excess = c.hop_excess;
   double xi;
-  if (cls.terminal) {
-    xi = solver.terminal_service();
+  if (c.terminal) {
+    xi = solver_.terminal_service();
   } else {
     xi = 0.0;
-    for (const Transition& t : cls.next) {
-      const ChannelClass& target = graph.at(t.target);
-      const double p = blocking_factor(solver, cls, target, t);
-      const double wait_term =
-          ChannelSolver::wait_term(p, waits[static_cast<std::size_t>(t.target)]);
-      xi += t.weight * (x[static_cast<std::size_t>(t.target)] + wait_term);
+    for (std::size_t k = edge_begin_[id]; k < edge_begin_[id + 1]; ++k) {
+      const Edge& e = edges_[k];
+      const auto j = static_cast<std::size_t>(e.target);
+      xi += e.weight * (x[j] + ChannelSolver::wait_term(e.blocking, waits[j]));
     }
   }
-  const double floor = solver.drain_floor(cls.bandwidth, cls.buffer_depth);
-  if (floor > 0.0) {
+  if (c.drain_floor > 0.0) {
     // Non-default link: lane sharing stretches the bottleneck drain itself,
     // and the stretched floor max-composes like the plain one.  The u ≥ 1
     // guard inside the factor (+inf) is what saturates a tapered tier.
     const double shared =
-        floor * solver.lane_share_factor(
-                    cls.lanes, cls.rate_per_link * injection_scale,
-                    cls.bandwidth, cls.buffer_depth);
-    if (shared > xi) xi = shared;  // channel i itself is the path bottleneck
+        c.drain_floor * solver_.lane_share_factor(c.lanes,
+                                                  c.unit_rate * injection_scale,
+                                                  c.bandwidth, c.buffer_depth);
+    if (shared > xi) xi = shared;  // this channel is the path bottleneck
   } else {
-    excess += solver.lane_excess(cls.lanes, cls.rate_per_link * injection_scale);
+    excess += solver_.lane_excess(c.lanes, c.unit_rate * injection_scale);
   }
   return xi + excess;
 }
 
-}  // namespace
-
-SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts) {
-  WORMNET_SPAN("solve_general_model", "solve");
-  WORMNET_EXPECTS(opts.worm_flits > 0.0);
-  WORMNET_EXPECTS(opts.injection_scale >= 0.0);
-  WORMNET_EXPECTS(graph.validate().empty());
-
-  const ChannelSolver solver(opts.worm_flits, opts.ablation);
-  const double scale = opts.injection_scale;
-
-  const int n = graph.size();
-  SolveResult result;
-  result.channels.assign(static_cast<std::size_t>(n), {});
-  std::vector<double> x(static_cast<std::size_t>(n), opts.worm_flits);
-  std::vector<double> waits(static_cast<std::size_t>(n), 0.0);
-
-  const std::vector<int> order = graph.reverse_topological_order();
-  if (!order.empty()) {
+SolvePlan::SweepStats SolvePlan::sweep(double injection_scale,
+                                       std::vector<double>& x,
+                                       std::vector<double>& waits) const {
+  WORMNET_EXPECTS(injection_scale >= 0.0);
+  const std::size_t n = classes_.size();
+  x.assign(n, solver_.worm_flits());
+  waits.assign(n, 0.0);
+  SweepStats stats;
+  if (!order_.empty()) {
     // Acyclic: one exact backward sweep, terminals first (the paper's §2.1
     // "service times are resolved in the reverse order of the channels
-    // traversed").
-    for (int id : order) {
-      // Successors are already final; compose this class's x̄ from them,
-      // then evaluate the wait of this class's bundle at that final x̄.
-      x[static_cast<std::size_t>(id)] =
-          compose_service_time(solver, graph, id, x, waits, scale);
-      waits[static_cast<std::size_t>(id)] =
-          bundle_wait(solver, graph.at(id), x[static_cast<std::size_t>(id)], scale);
+    // traversed").  Successors are already final; compose this class's x̄
+    // from them, then evaluate its bundle's wait at that final x̄.
+    for (int order_id : order_) {
+      const auto id = static_cast<std::size_t>(order_id);
+      x[id] = compose(id, injection_scale, x, waits);
+      waits[id] = wait_of(id, x[id], injection_scale);
     }
-    result.iterations = 1;
-    result.converged = true;
-  } else {
-    // Cyclic dependency graph: damped fixed-point iteration.
-    result.converged = false;
-    double last_delta = 0.0;
-    for (int it = 0; it < opts.max_iterations; ++it) {
-      double max_delta = 0.0;
-      for (int id = 0; id < n; ++id) {
-        waits[static_cast<std::size_t>(id)] =
-            bundle_wait(solver, graph.at(id), x[static_cast<std::size_t>(id)], scale);
-      }
-      for (int id = 0; id < n; ++id) {
-        const double next = compose_service_time(solver, graph, id, x, waits, scale);
-        const double cur = x[static_cast<std::size_t>(id)];
-        double blended = cur + opts.damping * (next - cur);
-        if (std::isinf(next)) blended = next;  // saturation dominates damping
-        max_delta = std::max(max_delta, std::abs(blended - cur));
-        x[static_cast<std::size_t>(id)] = blended;
-      }
-      result.iterations = it + 1;
-      last_delta = max_delta;
-      if (max_delta < opts.tolerance || std::isinf(max_delta) || std::isnan(max_delta)) {
-        result.converged = max_delta < opts.tolerance;
-        break;
-      }
+    return stats;
+  }
+  // Cyclic dependency graph: damped fixed-point iteration.
+  stats.iterations = 0;
+  stats.converged = false;
+  for (int it = 0; it < opts_.max_iterations; ++it) {
+    double max_delta = 0.0;
+    for (std::size_t id = 0; id < n; ++id) waits[id] = wait_of(id, x[id], injection_scale);
+    for (std::size_t id = 0; id < n; ++id) {
+      const double next = compose(id, injection_scale, x, waits);
+      const double cur = x[id];
+      double blended = cur + opts_.damping * (next - cur);
+      if (std::isinf(next)) blended = next;  // saturation dominates damping
+      max_delta = std::max(max_delta, std::abs(blended - cur));
+      x[id] = blended;
     }
-    result.telemetry.max_residual = last_delta;
-    for (int id = 0; id < n; ++id) {
-      waits[static_cast<std::size_t>(id)] =
-          bundle_wait(solver, graph.at(id), x[static_cast<std::size_t>(id)], scale);
+    stats.iterations = it + 1;
+    stats.max_residual = max_delta;
+    if (max_delta < opts_.tolerance || std::isinf(max_delta) || std::isnan(max_delta)) {
+      stats.converged = max_delta < opts_.tolerance;
+      break;
     }
   }
+  for (std::size_t id = 0; id < n; ++id) waits[id] = wait_of(id, x[id], injection_scale);
+  return stats;
+}
 
-  for (int id = 0; id < n; ++id) {
-    ChannelSolution& sol = result.channels[static_cast<std::size_t>(id)];
-    sol.service_time = x[static_cast<std::size_t>(id)];
-    sol.wait = waits[static_cast<std::size_t>(id)];
-    sol.utilization = solver.bundle_utilization(
-        graph.at(id).servers, model_lanes(solver, graph.at(id)),
-        graph.at(id).rate_per_link * scale, sol.service_time);
-    sol.cb2 = solver.cb2(sol.service_time);
+SolveResult SolvePlan::solve(double injection_scale) const {
+  std::vector<double> x;
+  std::vector<double> waits;
+  const SweepStats stats = sweep(injection_scale, x, waits);
+  SolveResult result;
+  result.iterations = stats.iterations;
+  result.converged = stats.converged;
+  result.telemetry.max_residual = stats.max_residual;
+
+  const std::size_t n = classes_.size();
+  result.channels.assign(n, {});
+  for (std::size_t id = 0; id < n; ++id) {
+    const Class& c = classes_[id];
+    ChannelSolution& sol = result.channels[id];
+    sol.service_time = x[id];
+    sol.wait = waits[id];
+    sol.utilization = solver_.bundle_utilization(
+        c.servers, c.model_lanes, c.unit_rate * injection_scale, sol.service_time);
+    sol.cb2 = solver_.cb2(sol.service_time);
     // Report the SCV the wait was actually evaluated at: with the
     // bursty_arrivals ablation off the kernel used the Poisson value, not
     // the graph's tuned one.
-    sol.ca2 = opts.ablation.bursty_arrivals ? graph.at(id).ca2 : 1.0;
+    sol.ca2 = opts_.ablation.bursty_arrivals ? c.ca2 : 1.0;
     // Blocking decomposition (diagnostic): the transition-weighted Eq. 9/10
-    // factor — rates are scale-invariant, so this needs no re-solve.
-    const ChannelClass& cls = graph.at(id);
-    if (!cls.terminal) {
+    // factor.
+    if (!c.terminal) {
       double pblock = 0.0;
-      for (const Transition& t : cls.next)
-        pblock += t.weight * blocking_factor(solver, cls, graph.at(t.target), t);
+      for (std::size_t k = edge_begin_[id]; k < edge_begin_[id + 1]; ++k)
+        pblock += edges_[k].weight * edges_[k].blocking;
       sol.blocking = pblock;
     }
     if (std::isfinite(sol.utilization) &&
         (result.telemetry.max_utilization_class < 0 ||
          sol.utilization > result.telemetry.max_utilization)) {
       result.telemetry.max_utilization = sol.utilization;
-      result.telemetry.max_utilization_class = id;
+      result.telemetry.max_utilization_class = static_cast<int>(id);
     }
     if (!std::isfinite(sol.service_time) || !std::isfinite(sol.wait) ||
         sol.utilization >= 1.0) {
@@ -203,32 +222,33 @@ SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& o
     // finite root (a slow-link drain floor or composition blow-up).
     SolveTelemetry& tel = result.telemetry;
     double worst = 0.0;
-    for (int id = 0; id < n; ++id) {
-      const ChannelSolution& sol = result.channels[static_cast<std::size_t>(id)];
+    for (std::size_t id = 0; id < n; ++id) {
+      const ChannelSolution& sol = result.channels[id];
       if (std::isfinite(sol.service_time) && std::isfinite(sol.utilization) &&
           sol.utilization >= 1.0 && sol.utilization >= worst) {
         worst = sol.utilization;
-        tel.first_saturated_class = id;
+        tel.first_saturated_class = static_cast<int>(id);
         tel.saturation_cause = "occupancy";
       }
     }
     if (tel.first_saturated_class < 0) {
-      for (int id = 0; id < n; ++id) {
-        const ChannelSolution& sol =
-            result.channels[static_cast<std::size_t>(id)];
+      for (std::size_t id = 0; id < n; ++id) {
+        const ChannelSolution& sol = result.channels[id];
         if (!std::isfinite(sol.service_time) || !std::isfinite(sol.wait)) {
-          tel.first_saturated_class = id;
-          const ChannelClass& cls = graph.at(id);
+          tel.first_saturated_class = static_cast<int>(id);
           tel.saturation_cause =
-              solver.drain_floor(cls.bandwidth, cls.buffer_depth) > 0.0
-                  ? "drain-capacity"
-                  : "divergent-wait";
+              classes_[id].drain_floor > 0.0 ? "drain-capacity" : "divergent-wait";
           break;
         }
       }
     }
   }
   return result;
+}
+
+SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts) {
+  WORMNET_SPAN("solve_general_model", "solve");
+  return SolvePlan(graph, opts).solve(opts.injection_scale);
 }
 
 LatencyEstimate estimate_latency(const SolveResult& solution,
@@ -241,24 +261,13 @@ LatencyEstimate estimate_latency(const SolveResult& solution,
                                  const std::vector<int>& injection_classes,
                                  const std::vector<double>& weights,
                                  double mean_distance) {
-  WORMNET_EXPECTS(!injection_classes.empty());
-  WORMNET_EXPECTS(weights.empty() || weights.size() == injection_classes.size());
   LatencyEstimate est;
   est.mean_distance = mean_distance;
   est.stable = solution.stable;
-  double wait_sum = 0.0;
-  double service_sum = 0.0;
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < injection_classes.size(); ++i) {
-    const double w = weights.empty() ? 1.0 : weights[i];
-    const int id = injection_classes[i];
-    wait_sum += w * solution.wait(id);
-    service_sum += w * solution.service_time(id);
-    weight_sum += w;
-  }
-  WORMNET_EXPECTS(weight_sum > 0.0);
-  est.inj_wait = wait_sum / weight_sum;
-  est.inj_service = service_sum / weight_sum;
+  est.inj_wait = injection_average(injection_classes, weights,
+                                   [&](int id) { return solution.wait(id); });
+  est.inj_service = injection_average(
+      injection_classes, weights, [&](int id) { return solution.service_time(id); });
   est.latency = est.inj_wait + est.inj_service + mean_distance - 1.0;
   if (!std::isfinite(est.latency)) est.stable = false;
   // Structured status: a fixed point that failed to converge dominates
@@ -416,18 +425,15 @@ std::uint64_t GeneralModel::content_digest() const {
 }
 
 SolveResult GeneralModel::solve(double lambda0) const {
-  SolveOptions run = opts;
-  run.injection_scale = lambda0;
-  return solve_general_model(graph, run);
+  return model_solve(*this, lambda0, opts);
 }
 
 LatencyEstimate GeneralModel::evaluate(double lambda0) const {
-  return apply_unroutable(
-      apply_batch_residual(
-          estimate_latency(solve(lambda0), injection_classes,
-                           injection_class_weights, mean_distance),
-          injection_batch_residual, opts.ablation.bursty_arrivals),
-      unroutable_fraction);
+  return model_latency(*this, lambda0, opts);
+}
+
+double GeneralModel::saturation_rate() const {
+  return model_saturation_rate(*this, opts);
 }
 
 SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions base) {
@@ -447,9 +453,21 @@ LatencyEstimate model_latency(const GeneralModel& net, double lambda0,
 }
 
 double model_saturation_rate(const GeneralModel& net, SolveOptions base) {
+  WORMNET_SPAN("saturation_search", "solve");
+  // One plan for the whole search; each probe's x̄_inj is model_latency's
+  // inj_service at that λ₀, bit for bit (same sweep, same average, NaN read
+  // as +inf), without assembling a SolveResult.
+  const SolvePlan plan(net.graph, base);
+  std::vector<double> x;
+  std::vector<double> waits;
   return find_saturation_rate(
       [&](double lambda0) {
-        return model_latency(net, lambda0, base).inj_service;
+        plan.sweep(lambda0, x, waits);
+        const double service = injection_average(
+            net.injection_classes, net.injection_class_weights,
+            [&](int id) { return x.at(static_cast<std::size_t>(id)); });
+        return std::isnan(service) ? std::numeric_limits<double>::infinity()
+                                   : service;
       },
       1.0 / base.worm_flits);
 }

@@ -19,11 +19,24 @@
 // and DOR mesh).  For cyclic graphs the solver falls back to damped
 // fixed-point iteration.
 //
+// That order is a static schedule, so the graph is compiled once into a
+// SolvePlan: validated once, its order computed once, its transitions laid
+// out flat (CSR) with their λ-independent Eq. 9/10 blocking factors, and
+// every per-class constant hoisted.  A solve at λ₀ is one pass over those
+// arrays.  solve_general_model builds a plan and solves it once; the Eq. 26
+// saturation search (model_saturation_rate, GeneralModel::saturation_rate)
+// builds ONE plan per search and runs every probe on it into reused scratch
+// arrays.  The plan is deliberately not cached on GeneralModel: the graph
+// is public and the O(channels) tunes mutate it in place, so a cache would
+// have to re-hash the whole graph on every call to stay correct, which is
+// the cost the plan exists to avoid.
+//
 // The ablation switches (queueing::AblationOptions) reproduce the paper's
 // two claimed novelties and the published erratum, so benches can quantify
 // each ingredient's contribution.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +44,7 @@
 #include "arrivals/arrival_process.hpp"
 #include "core/channel_graph.hpp"
 #include "core/network_model.hpp"
+#include "queueing/channel_solver.hpp"
 
 namespace wormnet::core {
 
@@ -96,7 +110,73 @@ struct SolveResult {
   double utilization(int id) const { return channels.at(static_cast<std::size_t>(id)).utilization; }
 };
 
-/// Solve the general model over `graph`.
+/// A ChannelGraph compiled for repeated solves under one SolveOptions (see
+/// the file comment).  The plan copies what it needs, so it outlives the
+/// graph and does not see later changes to it: rebuild after a tune.
+class SolvePlan {
+ public:
+  /// Validates `graph` and compiles it.  opts.injection_scale is ignored:
+  /// every solve names its own λ₀.
+  /// Preconditions: opts.worm_flits > 0 and graph.validate() is empty.
+  SolvePlan(const ChannelGraph& graph, const SolveOptions& opts);
+
+  /// Full solve at injection scale λ₀ (per-class detail and telemetry).
+  SolveResult solve(double injection_scale) const;
+
+  /// How a sweep ended (the SolveResult fields of the same names).
+  struct SweepStats {
+    int iterations = 1;
+    bool converged = true;
+    double max_residual = 0.0;
+  };
+
+  /// The solve kernel: resolve x̄ and W̄ of every class at λ₀ into `x` and
+  /// `waits` (indexed by class id, resized to the class count).  Once the
+  /// buffers are sized a sweep allocates nothing, so repeated probes reuse
+  /// them.
+  SweepStats sweep(double injection_scale, std::vector<double>& x,
+                   std::vector<double>& waits) const;
+
+ private:
+  /// Per-class constants: everything a solve reads that does not move
+  /// with λ₀.
+  struct Class {
+    int servers;
+    int lanes;          ///< true lane count (lane stretch and sharing)
+    int model_lanes;    ///< lane count the wait/occupancy use (1 on slow links)
+    int buffer_depth;
+    bool terminal;
+    double unit_rate;   ///< rate_per_link at λ₀ = 1
+    double ca2;
+    double bandwidth;
+    double drain_floor; ///< 0 on unit links
+    double hop_excess;
+  };
+  /// A transition with its Eq. 9/10 blocking factor (rates at unit scale,
+  /// so the factor is λ-independent).
+  struct Edge {
+    int target;
+    double weight;
+    double blocking;
+  };
+
+  double compose(std::size_t id, double injection_scale,
+                 const std::vector<double>& x,
+                 const std::vector<double>& waits) const;
+  double wait_of(std::size_t id, double xbar, double injection_scale) const;
+
+  queueing::ChannelSolver solver_;
+  SolveOptions opts_;
+  std::vector<Class> classes_;
+  std::vector<std::size_t> edge_begin_;  ///< CSR offsets, one per class plus one
+  std::vector<Edge> edges_;
+  /// Reverse-topological order; empty means the graph is cyclic (or empty)
+  /// and sweep() runs the damped fixed point instead.
+  std::vector<int> order_;
+};
+
+/// Solve the general model over `graph`: SolvePlan(graph, opts) solved once
+/// at opts.injection_scale.
 /// Preconditions: graph.validate() is empty.
 SolveResult solve_general_model(const ChannelGraph& graph, const SolveOptions& opts);
 
@@ -219,7 +299,7 @@ class GeneralModel final : public NetworkModel {
   /// and applies here.
   void set_channel_bandwidths(const std::vector<double>& bw);
 
-  /// Full solve at λ₀ (per-channel detail).
+  /// Full solve at λ₀ (per-channel detail): model_solve under `opts`.
   SolveResult solve(double lambda0) const;
 
   // NetworkModel interface.
@@ -237,7 +317,11 @@ class GeneralModel final : public NetworkModel {
   /// share entries across rebuilt or cloned models.  O(channels +
   /// transitions).
   std::uint64_t content_digest() const override;
+  /// model_latency under `opts`.
   LatencyEstimate evaluate(double lambda0) const override;
+  /// model_saturation_rate under `opts`: bitwise the base class's search
+  /// over evaluate(), with one SolvePlan shared by every probe.
+  double saturation_rate() const override;
 };
 
 /// Full solve at λ₀ (per-channel detail).  `base` supplies worm length and
@@ -249,7 +333,11 @@ SolveResult model_solve(const GeneralModel& net, double lambda0, SolveOptions ba
 LatencyEstimate model_latency(const GeneralModel& net, double lambda0,
                               SolveOptions base);
 
-/// Saturation injection rate λ₀* (Eq. 26) for the network under `base`.
+/// Saturation injection rate λ₀* (Eq. 26) for the network under `base`:
+/// find_saturation_rate over model_latency(net, λ₀, base).inj_service, bit
+/// for bit, but with one SolvePlan built for the whole search.  Each probe
+/// sweeps the plan into reused scratch arrays and reads only x̄_inj, so it
+/// neither re-validates nor re-sorts the graph nor allocates.
 double model_saturation_rate(const GeneralModel& net, SolveOptions base);
 
 }  // namespace wormnet::core

@@ -14,6 +14,12 @@
 // sustain.  That is exactly the load where the paper's "let the source
 // arrival rate increase until the equation is satisfied" procedure stops,
 // because x̄_inj jumps through 1/λ₀ at that point.
+//
+// Cost: the search makes ~55 probes, each one solve of the same graph at a
+// new λ₀.  The general model's searches (core::model_saturation_rate,
+// GeneralModel::saturation_rate) therefore compile the graph into one
+// core::SolvePlan and run every probe on it in reused scratch arrays; the
+// probes' values, and so the root, are bitwise those of fresh solves.
 #pragma once
 
 #include <functional>

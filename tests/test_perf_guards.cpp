@@ -7,7 +7,10 @@
 //    buffers, ring queues and pooled worm paths are load-bearing, not
 //    decorative);
 //  * SimEngine determinism — a campaign's results are bitwise-identical
-//    parallel vs serial, the same contract SweepEngine carries.
+//    parallel vs serial, the same contract SweepEngine carries;
+//  * a plan-once saturation search — the Eq. 26 search compiles the channel
+//    graph once and runs every probe in reused scratch arrays, so its heap
+//    traffic is one solve's, not one solve's per probe.
 //
 // (The third determinism contract of the overhaul — build_traffic_model
 // bitwise-identical for every thread count — lives with the rest of the
@@ -19,10 +22,13 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/saturation.hpp"
+#include "core/traffic_model.hpp"
 #include "harness/sim_engine.hpp"
 #include "sim/simulator.hpp"
 #include "topo/butterfly_fattree.hpp"
 #include "topo/hypercube.hpp"
+#include "topo/mesh.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -92,6 +98,39 @@ TEST(AllocationGuard, SteadyStateCycleLoopAllocatesNothing) {
   EXPECT_EQ(seg.latency.mean(), full.latency.mean());
   EXPECT_EQ(seg.delivered_flits, full.delivered_flits);
   EXPECT_EQ(seg.throughput_flits_per_pe, full.throughput_flits_per_pe);
+}
+
+TEST(AllocationGuard, SaturationSearchAllocationsDoNotGrowWithProbes) {
+  // A dense 8x8 mesh (352 channel classes).  The search bisects Eq. 26 to
+  // adjacent doubles, ~55 probes; each probe used to be a full solve with
+  // its own validation, topological sort and SolveResult.
+  const topo::Mesh mesh(8, 2);
+  const core::GeneralModel model =
+      core::build_traffic_model(mesh, traffic::TrafficSpec::uniform());
+
+  int probes = 0;
+  const double counted = core::find_saturation_rate(
+      [&](double lambda0) {
+        ++probes;
+        return model.evaluate(lambda0).inj_service;
+      },
+      1.0 / model.opts.worm_flits);
+  ASSERT_GT(probes, 40);
+
+  std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  (void)model.evaluate(0.5 * counted);
+  const std::uint64_t one_solve =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  before = g_allocations.load(std::memory_order_relaxed);
+  const double rate = model.saturation_rate();
+  const std::uint64_t search =
+      g_allocations.load(std::memory_order_relaxed) - before;
+
+  EXPECT_EQ(rate, counted);
+  EXPECT_LE(search, one_solve)
+      << search << " allocations in one " << probes
+      << "-probe saturation search vs " << one_solve << " in one solve";
 }
 
 void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b) {
