@@ -392,9 +392,9 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
   // an N−1 up-link failure and the healthy fabric via retune_faults, which
   // cold-rebuilds on the fault view (one pass per destination) and
   // re-applies the recorded tunes — compare BM_TrafficModelBuildFatTree/4,
-  // the same build on the healthy fabric (the N−1 sweep in
-  // harness::QueryEngine::availability_n_minus_1 pays this once per
-  // failable link).
+  // the same build on the healthy fabric.  An N−1 sweep in
+  // harness::QueryEngine::availability_n_minus_1 pays this once per link
+  // orbit (BM_AvailabilityNMinus1).
   topo::ButterflyFatTree ft(4);
   core::RetunableTrafficModel rm(ft, traffic::TrafficSpec::hotspot(0.2, 3));
   auto faults = std::make_shared<topo::FaultSet>(ft);
@@ -413,6 +413,44 @@ void BM_QueryEngineFaultRetune(benchmark::State& state) {
                  " N-1 up-link rebuild");
 }
 BENCHMARK(BM_QueryEngineFaultRetune)->Unit(benchmark::kMillisecond);
+
+void BM_AvailabilityNMinus1(benchmark::State& state) {
+  // One N−1 availability sweep through the QueryEngine, answer cache
+  // cleared per iteration: one cold build per link orbit, every other
+  // failed link served its orbit's answer.  Rows: 0 = BFT(3), 1 = BFT(4),
+  // 2 = hypercube(6), 3 = the dense 8x8 mesh as the control (it declares
+  // no fault-commuting symmetry, so it still builds once per link).
+  std::unique_ptr<topo::Topology> t;
+  switch (state.range(0)) {
+    case 0: t = std::make_unique<topo::ButterflyFatTree>(3); break;
+    case 1: t = std::make_unique<topo::ButterflyFatTree>(4); break;
+    case 2: t = std::make_unique<topo::Hypercube>(6); break;
+    default: t = std::make_unique<topo::Mesh>(8, 2); break;
+  }
+  harness::QueryEngine engine(*t, traffic::TrafficSpec::uniform());
+  harness::WhatIfQuery sat_q;
+  sat_q.metric = harness::QueryMetric::Saturation;
+  const double lambda0 = 0.3 * engine.run(sat_q).saturation_rate;
+  const std::uint64_t builds0 = engine.served_rebuild();
+  std::size_t scenarios = 0;
+  for (auto _ : state) {
+    engine.clear_cache();
+    const harness::AvailabilityReport rep =
+        engine.availability_n_minus_1(0, lambda0);
+    scenarios += rep.rows.size();
+    benchmark::DoNotOptimize(rep.rows.front().est.latency);
+  }
+  state.counters["scenarios/s"] = benchmark::Counter(
+      static_cast<double>(scenarios), benchmark::Counter::kIsRate);
+  state.counters["builds/op"] = benchmark::Counter(
+      static_cast<double>(engine.served_rebuild() - builds0),
+      benchmark::Counter::kAvgIterations);
+  state.SetLabel(t->name());
+}
+BENCHMARK(BM_AvailabilityNMinus1)
+    ->DenseRange(0, 3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_QueryEngineRetuneLanes(benchmark::State& state) {
   // The lane delta axis: set_uniform_lanes is one O(channels) sweep over

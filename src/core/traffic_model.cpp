@@ -1185,9 +1185,9 @@ RetuneReport RetunableTrafficModel::retune_faults(
   report.rebuilt = true;
   report.collapsed = im.is_collapsed;
 
-  // A collapsed resident that came back dense is the fault-orbit follow-on's
-  // worst symptom (ROADMAP), so it never passes silently: a global-registry
-  // counter and a one-shot Warn naming the broken symmetry.
+  // A collapsed resident that came back dense pays dense costs, so it never
+  // passes silently: a global-registry counter and a one-shot Warn naming
+  // the broken symmetry.
   if (was_collapsed && !im.is_collapsed) {
     obs::Registry::global()
         .counter("wormnet_collapsed_fault_dense_rebuilds_total",
@@ -1200,8 +1200,8 @@ RetuneReport RetunableTrafficModel::retune_faults(
           << "' fell back to a dense rebuild on its first degraded query: "
           << "the fault breaks its declared symmetry (" << old_classes
           << " quotient classes -> " << im.net.graph.size()
-          << " dense classes); N-1 sweeps on this resident pay dense costs "
-          << "until fault orbits land (ROADMAP)";
+          << " dense classes); an N-1 sweep pays one dense build per link "
+          << "orbit, other fault sets one each";
     }
   }
   return report;

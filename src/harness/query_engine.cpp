@@ -8,6 +8,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "topo/channels.hpp"
+#include "topo/symmetry.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
@@ -41,9 +43,10 @@ std::uint64_t spec_digest(const traffic::TrafficSpec& spec, int procs) {
 /// residents; the arrival axis folds the (effective SCV, batch residual)
 /// pair the model actually consumes — two processes indistinguishable to
 /// the solver correctly share a variant, and Bernoulli's rate-dependent SCV
-/// separates by λ₀ on its own.
+/// separates by λ₀ on its own.  `fault_key` is the fault axis
+/// (Impl::fault_key: 0 = healthy).
 std::uint64_t variant_key(std::uint64_t baseline_digest, const WhatIfQuery& q,
-                          int procs) {
+                          int procs, std::uint64_t fault_key) {
   std::uint64_t h = baseline_digest;
   h = util::hash_mix(h, q.traffic ? spec_digest(*q.traffic, procs) : 0);
   h = util::hash_mix_double(h, q.load_scale);
@@ -55,11 +58,7 @@ std::uint64_t variant_key(std::uint64_t baseline_digest, const WhatIfQuery& q,
     h = util::hash_mix_double(h, q.arrival->effective_ca2(q.lambda0));
     h = util::hash_mix_double(h, q.arrival->batch_residual());
   }
-  // Content digest, not pointer identity: two FaultSets failing the same
-  // links share a variant, and an empty set IS the healthy baseline.
-  h = util::hash_mix(
-      h, q.faults && !q.faults->empty() ? q.faults->digest() : 0);
-  return h;
+  return util::hash_mix(h, fault_key);
 }
 
 /// Result-cache key: the variant plus the question asked of it.
@@ -93,12 +92,31 @@ struct QueryEngine::Impl {
   struct Resident {
     const topo::Topology* topo = nullptr;
     core::RetunableTrafficModel baseline;
-    std::uint64_t digest = 0;  ///< baseline model content digest
+    std::uint64_t digest = 0;     ///< baseline model content digest
+    std::uint64_t spec_key = 0;   ///< spec_digest of the baseline spec
+    /// Channel orbits for keying single-link faults, built on the first such
+    /// query (never here: most residents never see a fault, and the table
+    /// would double a small resident's setup).  `ct` stays null when the
+    /// resident declares no fault-commuting symmetry.
+    bool orbits_built = false;
+    std::unique_ptr<topo::ChannelTable> ct;
+    topo::SymmetryClasses orbits;
 
     Resident(const topo::Topology& t, const traffic::TrafficSpec& spec,
              const Options& o)
         : topo(&t), baseline(t, spec, o.solve, o.build) {
       digest = baseline.model().content_digest();
+      spec_key = spec_digest(spec, t.num_processors());
+    }
+
+    void build_orbits() {
+      orbits_built = true;
+      std::vector<int> pins;
+      if (!topo->symmetry_commutes_with_faults() ||
+          !baseline.spec().symmetric(pins))
+        return;
+      ct = std::make_unique<topo::ChannelTable>(*topo);
+      if (!topo::topology_symmetry(*topo, *ct, pins, orbits)) ct.reset();
     }
   };
 
@@ -124,6 +142,36 @@ struct QueryEngine::Impl {
 
   explicit Impl(Options o) : opts(o) {
     if (opts.parallel) pool = std::make_unique<util::ThreadPool>(opts.threads);
+  }
+
+  /// The fault axis of a variant key: 0 when healthy, else the fault set's
+  /// content digest (two sets failing the same links share a variant) —
+  /// except for ONE failed link under the resident's own spec, on a
+  /// topology whose symmetry commutes with faults.  That fault is keyed by
+  /// its link orbit, the unordered pair of its two directed channels'
+  /// orbit classes, so the first member of each orbit builds the variant
+  /// and every other member is served its answer (in-batch Dup, or the
+  /// answer cache).  ClassBreakdown keeps the digest: its rows are per
+  /// channel, and orbit members permute them.
+  std::uint64_t fault_key(Resident& r, const WhatIfQuery& q, int procs) {
+    if (!q.faults || q.faults->empty()) return 0;
+    const std::uint64_t digest = q.faults->digest();
+    if (q.faults->failed_links().size() != 1 ||
+        q.metric == QueryMetric::ClassBreakdown ||
+        (q.traffic && spec_digest(*q.traffic, procs) != r.spec_key))
+      return digest;
+    if (!r.orbits_built) r.build_orbits();
+    if (!r.ct) return digest;
+    const auto [node, port] = q.faults->failed_links().front();
+    const auto orbit = [&](int channel) {
+      return r.orbits.channel_class[static_cast<std::size_t>(channel)];
+    };
+    int a = orbit(r.ct->from(node, port));
+    int b = orbit(r.ct->into(node, port));
+    if (a > b) std::swap(a, b);
+    return util::hash_mix(
+        util::hash_mix(0x6c696e6b6f726269ULL, static_cast<std::uint64_t>(a)),
+        static_cast<std::uint64_t>(b));
   }
 
   void prepare(const Resident& r, Variant& v, const WhatIfQuery& q) {
@@ -235,7 +283,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
                   resident_id < static_cast<int>(impl_->residents.size()));
   Impl& im = *impl_;
   const auto batch_t0 = std::chrono::steady_clock::now();
-  const Impl::Resident& r = *im.residents[static_cast<std::size_t>(resident_id)];
+  Impl::Resident& r = *im.residents[static_cast<std::size_t>(resident_id)];
   const int procs = r.topo->num_processors();
   const std::size_t n = queries.size();
   std::vector<QueryResult> results(n);
@@ -265,7 +313,8 @@ std::vector<QueryResult> QueryEngine::run_batch(
     // A fault set validates its links against ONE topology; a set built
     // against some other fabric would index this resident's ports wrongly.
     WORMNET_EXPECTS(!q.faults || &q.faults->topology() == r.topo);
-    const std::uint64_t vkey = variant_key(r.digest, q, procs);
+    const std::uint64_t vkey =
+        variant_key(r.digest, q, procs, im.fault_key(r, q, procs));
     const std::uint64_t akey = answer_key(vkey, q);
     akeys[i] = akey;
     if (im.opts.memoize) {

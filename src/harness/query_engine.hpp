@@ -24,7 +24,12 @@
 //    rebuild of the variant on its topo::FaultedTopology view (a fault
 //    re-routes every destination column of a fat-tree, so a column delta
 //    would cost more); metered as Rebuild.  The resident baseline is never
-//    touched.
+//    touched.  One failed link under the resident's own spec, on a
+//    topology whose symmetry commutes with faults
+//    (Topology::symmetry_commutes_with_faults), is keyed by its LINK ORBIT:
+//    the first member of each orbit is rebuilt and every other member is
+//    served its answer as Memoized (within a few ulps of its own cold
+//    build).  Other fault sets, and ClassBreakdown, key by fault digest.
 // Queries sharing the same delta set share ONE prepared model variant;
 // repeated (variant, metric, λ₀) questions — within a batch or across
 // batches — are served from a result cache and reported as Memoized.
@@ -80,9 +85,10 @@ enum class QueryCost {
   /// destinations) passes, or the collapsed orbit path (see the attached
   /// RetuneReport) — plus one solve.
   Retune,
-  /// The variant was cold-rebuilt: every fault scenario, a pattern delta
-  /// that touched too much of the matrix, or a collapsed resident leaving
-  /// its symmetry.  The worst case, metered so callers see it.
+  /// The variant was cold-rebuilt: a fault scenario (one per link orbit
+  /// for single-link failures), a pattern delta that touched too much of
+  /// the matrix, or a collapsed resident leaving its symmetry.  The worst
+  /// case, metered so callers see it.
   Rebuild,
 };
 
@@ -107,7 +113,8 @@ struct WhatIfQuery {
   /// Evaluate under this fault set (null or empty = healthy baseline).  The
   /// set must have been built against the resident's topology.  Keyed by its
   /// order-insensitive content digest, so two scenarios failing the same
-  /// links share one prepared variant.
+  /// links share one prepared variant — or, for one failed link under the
+  /// resident's spec, by its link orbit (see the file comment).
   std::shared_ptr<const topo::FaultSet> faults;
 
   QueryMetric metric = QueryMetric::Latency;
@@ -209,8 +216,11 @@ class QueryEngine {
   /// N−1 availability sweep: one scenario per failable (switch-to-switch)
   /// undirected link of the resident's topology, each answered as a Latency
   /// query at λ₀ through the normal batch path — variants dedup, answers
-  /// memoize, and each new scenario is one cold build on its fault view
-  /// (QueryCost::Rebuild) that leaves the resident untouched.
+  /// memoize, and each new link orbit is one cold build on its first
+  /// member's fault view (QueryCost::Rebuild) that leaves the resident
+  /// untouched; the orbit's other members are Memoized with that answer,
+  /// under their own label and FaultSet.  Where no fault-commuting symmetry
+  /// is declared (a mesh, a pinned hypercube), every link is its own orbit.
   AvailabilityReport availability_n_minus_1(int resident_id, double lambda0);
   /// General N−k form: the caller supplies the scenarios (each a FaultSet
   /// built against the resident's topology, failing any number of links or

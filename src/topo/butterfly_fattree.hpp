@@ -76,6 +76,9 @@ class ButterflyFatTree : public Topology {
                                   const std::vector<int>& pinned_procs) const override;
   std::uint64_t channel_symmetry_key(
       int node, int port, const std::vector<int>& pinned_procs) const override;
+  // Single-link failures in one declared orbit give one model answer (to a
+  // few ulps), with or without a pinned hotspot.
+  bool symmetry_commutes_with_faults() const override { return true; }
 
   // -- Fat-tree specific structure ----------------------------------------
   /// Number of switch levels n (N = 4^n).

@@ -7,9 +7,8 @@
 // time, never NaN mid-solve.  A FaultedTopology is a decorator that presents
 // the SAME channel structure as its base (dead links still enumerate, so
 // topo::ChannelTable and every dense per-channel array stay index-aligned
-// between the healthy and faulted views — which is what lets the query
-// engine serve an N−1 sweep as retunes instead of rebuilds) but routes
-// around the failures:
+// between the healthy and faulted views, so per-channel results of the
+// two line up) but routes around the failures:
 //
 //  * destinations whose base minimal routes never touch a failed element
 //    keep the base routing function verbatim (bit-identical fast path);
@@ -27,6 +26,10 @@
 // FaultedTopology declares none and the collapsed builder falls back to the
 // dense path; an EMPTY fault set forwards the base symmetry hooks unchanged,
 // keeping collapsed residents valid as the baseline of availability sweeps.
+// The symmetry still acts on the fault sets themselves: where the base
+// declares Topology::symmetry_commutes_with_faults, two single-link faults
+// in one link orbit give views with one model answer, and the query engine
+// builds only one of them.
 #pragma once
 
 #include <cstdint>
@@ -161,8 +164,8 @@ class FaultedTopology final : public Topology {
   const FaultSet& faults() const { return *faults_; }
 
   /// Destination processors whose routing differs from the base (some base
-  /// minimal route crossed a failed element).  The query engine retunes
-  /// exactly these columns.
+  /// minimal route crossed a failed element); only these get survivor-BFS
+  /// tables.
   const std::vector<int>& affected_destinations() const { return affected_; }
   /// True when routing toward `dest` differs from the base topology.
   bool destination_affected(int dest) const {

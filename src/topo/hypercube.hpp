@@ -62,6 +62,10 @@ class Hypercube final : public Topology {
     if (port == dims_) return 2ull << 56;                           // ejection
     return (3ull << 56) | static_cast<std::uint64_t>(port);         // dimension
   }
+  // XOR translations keep every port number, so the survivor BFS's
+  // lowest-port tie-break commutes with them.  (Mesh reflections swap the
+  // minus/plus ports of an axis, so Mesh must not declare this.)
+  bool symmetry_commutes_with_faults() const override { return true; }
 
   /// Dimensionality n.
   int dims() const { return dims_; }

@@ -40,18 +40,20 @@ bool topology_symmetry(const Topology& topo, const ChannelTable& ct,
     out.channel_class[static_cast<std::size_t>(ch)] = it->second;
   }
 
-  // Heterogeneous link attributes must be CONSTANT on every declared class:
-  // the representative-destination propagation treats a class's channels as
-  // exchangeable.  Refining the keys instead would be unsafe (a finer-than-
-  // orbit partition breaks the contract above), so when the attributes cut
-  // across declared orbits — e.g. a taper the topology's keys don't know
-  // about — we refuse, and the builder falls back to the exact dense path.
+  // Lane counts and heterogeneous link attributes must be CONSTANT on every
+  // declared class: the representative-destination propagation treats a
+  // class's channels as exchangeable.  Refining the keys instead would be
+  // unsafe (a finer-than-orbit partition breaks the contract above), so when
+  // the attributes cut across declared orbits — e.g. a taper the topology's
+  // keys don't know about — we refuse, and the builder falls back to the
+  // exact dense path.
   // A tapered ButterflyFatTree stays collapsible: its (direction, level)
   // keys already separate tiers.
   for (int ch = 0; ch < ct.size(); ++ch) {
     const int rep =
         class_rep[static_cast<std::size_t>(out.channel_class[static_cast<std::size_t>(ch)])];
-    if (ct.bandwidth(ch) != ct.bandwidth(rep) ||
+    if (ct.lanes(ch) != ct.lanes(rep) ||
+        ct.bandwidth(ch) != ct.bandwidth(rep) ||
         ct.link_latency(ch) != ct.link_latency(rep) ||
         ct.buffer_depth(ch) != ct.buffer_depth(rep)) {
       out = SymmetryClasses{};

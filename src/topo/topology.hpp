@@ -315,6 +315,16 @@ class Topology {
     return static_cast<std::uint64_t>(node) * 64u + static_cast<std::uint64_t>(port);
   }
 
+  /// True when the symmetry declared above also commutes with
+  /// FaultedTopology's survivor-BFS routing, tie-breaking included: the
+  /// model of a fabric with one failed link then depends only on the link's
+  /// orbit (the pair of its directed channels' classes), so the query
+  /// engine builds one degraded model per orbit of single-link failures and
+  /// serves every other member from it.  The default false keeps one build
+  /// per failure; each topology that declares it is licensed by the
+  /// generated parity suite in tests/test_fault_orbits.cpp.
+  virtual bool symmetry_commutes_with_faults() const { return false; }
+
   /// Convenience: true for processor nodes.
   bool is_processor(int node) const { return kind(node) == NodeKind::Processor; }
 

@@ -14,6 +14,7 @@
 
 #include "core/general_model.hpp"
 #include "core/traffic_model.hpp"
+#include "harness/query_engine.hpp"
 #include "obs/adapters.hpp"
 #include "obs/log_sink.hpp"
 #include "obs/metrics.hpp"
@@ -307,8 +308,7 @@ TEST(ObsTelemetry, SolveTelemetryAndPublish) {
 }
 
 // A collapsed resident entering a degraded state rebuilds dense — and must
-// say so: the global-registry Rebuild counter ticks (satellite of the
-// fault-orbit follow-on in ROADMAP.md).
+// say so: the global-registry Rebuild counter ticks once per dense rebuild.
 TEST(ObsTelemetry, CollapsedFaultFallbackCountsRebuild) {
   topo::ButterflyFatTree ft(3);
   core::TrafficBuildOptions build;
@@ -327,6 +327,31 @@ TEST(ObsTelemetry, CollapsedFaultFallbackCountsRebuild) {
   const double after = obs::Registry::global().value(
       "wormnet_collapsed_fault_dense_rebuilds_total", "reason=broken-symmetry");
   EXPECT_DOUBLE_EQ(after, before + 1.0);
+}
+
+// An N−1 sweep on a collapsed resident (whatif_service's configuration)
+// rebuilds dense once per link orbit, not once per link: BFT(4) under
+// uniform traffic has 224 failable links in 3 orbits.
+TEST(ObsTelemetry, CollapsedNMinus1RebuildsOncePerLinkOrbit) {
+  topo::ButterflyFatTree ft(4);
+  harness::QueryEngine::Options opts;
+  opts.build.collapse = core::CollapseMode::Auto;
+  harness::QueryEngine engine(ft, traffic::TrafficSpec::uniform(), opts);
+  ASSERT_TRUE(engine.resident_model(0).collapsed());
+  const double lambda0 =
+      0.3 * core::model_saturation_rate(engine.resident_model(0).model(),
+                                        opts.solve);
+
+  const double before = obs::Registry::global().value(
+      "wormnet_collapsed_fault_dense_rebuilds_total", "reason=broken-symmetry");
+  const harness::AvailabilityReport rep =
+      engine.availability_n_minus_1(0, lambda0);
+  const double after = obs::Registry::global().value(
+      "wormnet_collapsed_fault_dense_rebuilds_total", "reason=broken-symmetry");
+  EXPECT_EQ(rep.rows.size(), 224u);
+  EXPECT_EQ(engine.served_rebuild(), 3u);
+  EXPECT_DOUBLE_EQ(after, before + 3.0);
+  EXPECT_TRUE(engine.resident_model(0).collapsed());
 }
 
 // ---------------------------------------------- zero-overhead-off goldens
