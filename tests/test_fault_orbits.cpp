@@ -224,9 +224,6 @@ TEST(FaultOrbits, UniformOrbitCountsMatchTheClosedForm) {
         << tag << ", " << report.rows.size() << " links";
   }
   const topo::ButterflyFatTree ft3(3);
-  EXPECT_EQ(check_sweep(ft3, traffic::TrafficSpec::uniform(), 0.3, 1e-12,
-                        "bft(3)"),
-            2);
   for (int h : {0, 5}) {
     EXPECT_EQ(count_link_orbits(ft3, traffic::TrafficSpec::hotspot(0.2, h)), 5)
         << "bft(3) hotspot " << h;
