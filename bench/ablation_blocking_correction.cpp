@@ -29,8 +29,10 @@ int main(int argc, char** argv) {
   without.blocking_correction = false;
 
   core::FatTreeModel model_with(with), model_without(without);
+  const double sat_with = model_with.saturation_load();
+  const double sat_without = model_without.saturation_load();
   harness::SweepEngine engine;
-  sweep.loads = bench::fraction_loads(engine.saturation_load(model_with),
+  sweep.loads = bench::fraction_loads(sat_with,
                                       /*include_past_saturation=*/false);
 
   topo::ButterflyFatTree ft(levels);
@@ -54,7 +56,6 @@ int main(int argc, char** argv) {
   harness::print_experiment(
       "ABL-BP: wormhole blocking-probability correction (Eq. 9/10) on vs off", t);
   std::printf("model saturation: corrected %.5f vs uncorrected %.5f flits/cyc/PE\n",
-              engine.saturation_load(model_with),
-              engine.saturation_load(model_without));
+              sat_with, sat_without);
   return 0;
 }

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
                                 {.collapse = core::CollapseMode::Auto});
 
   harness::SweepEngine engine;
-  const double sat_paper = engine.saturation_load(paper);
-  const double sat_exact = engine.saturation_load(exact);
+  const double sat_paper = paper.saturation_load();
+  const double sat_exact = exact.saturation_load();
 
   const std::vector<double> fracs{0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95};
   std::vector<double> loads;

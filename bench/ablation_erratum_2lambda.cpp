@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
 
   core::FatTreeModel model_ok(corrected), model_typo(typo);
   harness::SweepEngine engine;
-  const double sat_ok = engine.saturation_load(model_ok);
-  const double sat_typo = engine.saturation_load(model_typo);
+  const double sat_ok = model_ok.saturation_load();
+  const double sat_typo = model_typo.saturation_load();
 
   const std::vector<double> fracs{0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95};
   std::vector<double> loads;

@@ -28,8 +28,10 @@ int main(int argc, char** argv) {
   split.multi_server = false;
 
   core::FatTreeModel model_full(full), model_split(split);
+  const double sat_full = model_full.saturation_load();
+  const double sat_split = model_split.saturation_load();
   harness::SweepEngine engine;
-  sweep.loads = bench::fraction_loads(engine.saturation_load(model_full),
+  sweep.loads = bench::fraction_loads(sat_full,
                                       /*include_past_saturation=*/false);
 
   topo::ButterflyFatTree ft(levels);
@@ -53,6 +55,6 @@ int main(int argc, char** argv) {
       "ABL-MS: multi-server (M/G/2) vs independent-link (M/G/1) up-channel model",
       t);
   std::printf("model saturation: M/G/2 %.5f vs M/G/1-split %.5f flits/cyc/PE\n",
-              engine.saturation_load(model_full), engine.saturation_load(model_split));
+              sat_full, sat_split);
   return 0;
 }

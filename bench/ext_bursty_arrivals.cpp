@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
     const long n_procs = util::ipow(4, static_cast<int>(levels));
     topo::ButterflyFatTree ft(static_cast<int>(levels));
     for (const PatternCase& pc : patterns) {
-      engine.clear_cache();  // previous pattern's family models were dropped
       // ONE routed model per (N, pattern); each family member is an
       // O(channels) C_a² retune of a copy — the burstiness axis never
       // re-runs the O(N²·hops) route enumeration.
@@ -134,7 +133,7 @@ int main(int argc, char** argv) {
         // process's 50% load vs this process's simulated latency.
         if (sim50 > 0.0) {
           const double poisson_model =
-              engine.evaluate(base, fm.saturation_rate * fracs[1]).latency;
+              base.evaluate(fm.saturation_rate * fracs[1]).latency;
           char buf[32];
           std::snprintf(buf, sizeof(buf), "%+.1f%%",
                         100.0 * (poisson_model - sim50) / sim50);

@@ -39,11 +39,10 @@ int main(int argc, char** argv) {
     models.emplace_back(core::FatTreeModelOptions{
         .levels = levels, .worm_flits = static_cast<double>(worm), .parents = m});
 
-  harness::SweepEngine engine;
   for (const core::FatTreeModel& model : models) {
     const int m = model.options().parents;
     topo::GeneralizedFatTree ft(levels, m);
-    const double sat = engine.saturation_load(model);
+    const double sat = model.saturation_load();
     const harness::ThroughputRow thr = harness::compare_throughput(
         ft, sat, worm, seed, warmup, measure);
 
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
     cfg.max_cycles = 20 * measure;
     cfg.channel_stats = false;
     const sim::SimResult r = sim::simulate(ft, cfg);
-    const double model_latency = engine.evaluate_load(model, load).latency;
+    const double model_latency = model.evaluate_load(load).latency;
     t.add_row({static_cast<double>(m), sat, thr.sim_overload_throughput, thr.ratio,
                model_latency, r.latency.mean(),
                100.0 * (model_latency - r.latency.mean()) / r.latency.mean()});

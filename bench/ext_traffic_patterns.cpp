@@ -61,11 +61,10 @@ int main(int argc, char** argv) {
         core::build_traffic_model(ft, pc.spec, opts)));
   }
 
-  harness::SweepEngine engine;
   std::printf("pattern-aware saturation (flits/cycle/PE) vs uniform closed form %.4f:\n",
               sat);
   for (std::size_t i = 0; i < models.size(); ++i) {
-    std::printf("  %-12s %.4f\n", cases[i].name, engine.saturation_load(*models[i]));
+    std::printf("  %-12s %.4f\n", cases[i].name, models[i]->saturation_load());
   }
   std::printf("\n");
 
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
     const double load = sat * fracs[f];
     std::vector<util::Cell> row{load, uniform_model.evaluate_load(load).latency};
     for (std::size_t i = 0; i < models.size(); ++i) {
-      const core::LatencyEstimate est = engine.evaluate_load(*models[i], load);
+      const core::LatencyEstimate est = models[i]->evaluate_load(load);
       if (est.stable) {
         row.push_back(util::Cell{est.latency});
       } else {

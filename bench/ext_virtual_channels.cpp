@@ -59,10 +59,7 @@ int main(int argc, char** argv) {
     const long n_procs = util::ipow(4, static_cast<int>(levels));
     for (const PatternCase& pc : cases) {
       // One lane-axis family per (N, pattern): the factory rebuilds the
-      // traffic model with the topology's uniform lane count changed.  The
-      // previous family's models were just dropped, so their addresses can
-      // be recycled — flush the engine's address-keyed memo cache.
-      engine.clear_cache();
+      // traffic model with the topology's uniform lane count changed.
       topo::ButterflyFatTree ft(static_cast<int>(levels));
       std::vector<int> lanes;
       for (std::int64_t l : lane_list) lanes.push_back(static_cast<int>(l));

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   for (long worm : worms) {
     core::FatTreeModel model({.levels = levels,
                               .worm_flits = static_cast<double>(worm)});
-    const double sat = engine.saturation_load(model);
+    const double sat = model.saturation_load();
     harness::SweepConfig sweep = base;
     sweep.worm_flits = static_cast<int>(worm);
     sweep.loads = bench::fraction_loads(sat);

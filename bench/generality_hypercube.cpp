@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     const core::GeneralModel net =
         core::build_traffic_model(hc, traffic::TrafficSpec::uniform(), opts,
                                   {.collapse = core::CollapseMode::Auto});
-    const double sat = engine.saturation_load(net);
+    const double sat = net.saturation_load();
 
     harness::SweepConfig sweep = base;
     sweep.loads = {sat * 0.2, sat * 0.4, sat * 0.6, sat * 0.8, sat * 0.9};

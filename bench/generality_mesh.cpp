@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < models.size(); ++i) {
     const core::GeneralModel& net = models[i];
     const topo::Mesh& mesh = *meshes[i];
-    const double sat = engine.saturation_load(net);
+    const double sat = net.saturation_load();
 
     harness::SweepConfig sweep = base;
     sweep.loads = {sat * 0.2, sat * 0.4, sat * 0.6, sat * 0.8, sat * 0.9};

@@ -78,39 +78,38 @@ BENCHMARK(BM_GeneralSaturationMeshPerChannel)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SweepEngineColdSweep(benchmark::State& state) {
-  // A 32-point λ-sweep through the engine with caching disabled: the cost
-  // of batched dispatch itself.
+  // A 32-point λ-sweep through the engine: the cost of batched dispatch
+  // itself (the engine keeps nothing between calls).
   core::FatTreeModel model({.levels = 5, .worm_flits = 16.0});
   const double sat = model.saturation_rate();
   std::vector<double> lambdas;
   for (int i = 1; i <= 32; ++i) lambdas.push_back(sat * 0.95 * i / 32);
-  harness::SweepEngine engine({0, true, /*memoize=*/false});
+  harness::SweepEngine engine;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.sweep_lambda(model, lambdas).back().est.latency);
   }
 }
 BENCHMARK(BM_SweepEngineColdSweep)->Unit(benchmark::kMicrosecond);
 
-void BM_SweepEngineMemoizedSweep(benchmark::State& state) {
-  // The same sweep with the memo cache hot: the engine's fast path.
-  core::FatTreeModel model({.levels = 5, .worm_flits = 16.0});
-  const double sat = model.saturation_rate();
-  std::vector<double> lambdas;
-  for (int i = 1; i <= 32; ++i) lambdas.push_back(sat * 0.95 * i / 32);
-  harness::SweepEngine engine;
-  engine.sweep_lambda(model, lambdas);  // warm
+void BM_SweepEngineSaturationFractions(benchmark::State& state) {
+  // A design-search step on the dense 16x16 mesh: a fresh engine finds the
+  // Eq. 26 saturation rate and evaluates 10 fractions of it — a cold
+  // search, nothing carried between iterations.
+  topo::Mesh mesh(16, 2);
+  const core::GeneralModel net =
+      core::build_traffic_model(mesh, traffic::TrafficSpec::uniform());
+  std::vector<double> fractions;
+  for (int i = 1; i <= 10; ++i) fractions.push_back(0.095 * i);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.sweep_lambda(model, lambdas).back().est.latency);
+    harness::SweepEngine engine;
+    benchmark::DoNotOptimize(
+        engine.sweep_saturation_fractions(net, fractions).back().est.latency);
   }
-  // Registry-sourced counters: the same series a service would scrape.
-  obs::Registry reg;
-  engine.publish_metrics(reg, "bench");
-  state.counters["cache_hits"] =
-      reg.value("wormnet_sweep_cache_hits", "engine=bench");
-  state.counters["cache_hit_rate"] =
-      reg.value("wormnet_sweep_cache_hit_rate", "engine=bench");
+  state.SetLabel(std::to_string(net.graph.size()) + " channel classes");
 }
-BENCHMARK(BM_SweepEngineMemoizedSweep)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SweepEngineSaturationFractions)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_TrafficModelBuildFatTree(benchmark::State& state) {
   // Route enumeration under a DENSE pattern (hotspot: every pair weight is

@@ -26,8 +26,6 @@ int main(int argc, char** argv) {
   t.set_precision(0, 0);
   t.set_precision(1, 4);
 
-  // The models stay alive for the engine's whole run (its memo cache keys
-  // on their addresses).
   std::vector<core::FatTreeModel> models;
   models.reserve(levels_list.size());
   for (long levels : levels_list)
@@ -39,7 +37,7 @@ int main(int argc, char** argv) {
   for (const core::FatTreeModel& model : models) {
     topo::ButterflyFatTree ft(model.options().levels);
     harness::SweepConfig sweep = base;
-    const double sat = engine.saturation_load(model);
+    const double sat = model.saturation_load();
     sweep.loads = {sat * 0.25, sat * 0.5, sat * 0.75, sat * 0.9};
     const auto rows = harness::compare_latency(ft, model, sweep, &engine);
     for (const auto& r : rows) {

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   t.set_precision(3, 5);
   t.set_precision(4, 3);
 
-  // One model per (N, worm) cell, alive for the engine's whole run; the
-  // engine's cache makes each saturation bisection a one-time cost.
+  // One model per (N, worm) cell; each one's saturation is searched once,
+  // when its row is printed.
   std::vector<core::FatTreeModel> models;
   models.reserve(levels_list.size() * worms.size());
   for (long levels : levels_list)
@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
 
   // The whole table is ONE SimEngine campaign: every (N, worm) overload run
   // is an independent cell fanned across the pool.
-  harness::SweepEngine engine;
   std::vector<harness::SimCell> cells;
   cells.reserve(models.size());
   for (const core::FatTreeModel& model : models) {
@@ -71,7 +70,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < models.size(); ++i) {
     const core::FatTreeModel& model = models[i];
-    const double model_sat = engine.saturation_load(model);
+    const double model_sat = model.saturation_load();
     const double sim_sat = results[i].runs.front().throughput_flits_per_pe;
     const double procs =
         static_cast<double>(cells[i].topology->num_processors());

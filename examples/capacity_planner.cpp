@@ -18,16 +18,16 @@
 namespace {
 
 // Largest load whose model latency stays under `budget_cycles`, found by
-// bisection against the (monotone) latency curve.  Works on ANY NetworkModel
-// — the polymorphic interface is what makes this planner topology-agnostic.
+// bisection against the (monotone) latency curve between zero and the
+// model's saturation load.  Works on ANY NetworkModel — the polymorphic
+// interface is what makes this planner topology-agnostic.
 double max_load_under_budget(const wormnet::core::NetworkModel& model,
-                             wormnet::harness::SweepEngine& engine,
-                             double budget_cycles) {
+                             double saturation_load, double budget_cycles) {
   double lo = 0.0;
-  double hi = engine.saturation_load(model);
+  double hi = saturation_load;
   for (int i = 0; i < 60; ++i) {
     const double mid = 0.5 * (lo + hi);
-    const wormnet::core::LatencyEstimate ev = engine.evaluate_load(model, mid);
+    const wormnet::core::LatencyEstimate ev = model.evaluate_load(mid);
     if (ev.stable && ev.latency <= budget_cycles)
       lo = mid;
     else
@@ -55,21 +55,19 @@ int main(int argc, char** argv) {
   table.set_precision(5, 5);
   table.set_precision(6, 1);
 
-  // Every cell's model stays alive for the engine's lifetime (the memo
-  // cache keys on model addresses).
+  // One closed-form model per (levels, worm) cell of the table.
   std::vector<core::FatTreeModel> models;
   for (int levels = 1; levels <= max_levels; ++levels)
     for (long worm : worms)
       models.emplace_back(core::FatTreeModelOptions{
           .levels = levels, .worm_flits = static_cast<double>(worm)});
 
-  harness::SweepEngine engine;
   for (const core::FatTreeModel& model : models) {
     const double worm = model.worm_flits();
     const double zero_load = worm + model.mean_distance() - 1.0;
     const double budget = budget_factor * zero_load;
-    const double max_load = max_load_under_budget(model, engine, budget);
-    const double sat = engine.saturation_load(model);
+    const double sat = model.saturation_load();
+    const double max_load = max_load_under_budget(model, sat, budget);
     table.add_row({static_cast<double>(model.num_processors()),
                    static_cast<double>(worm), zero_load, budget, max_load, sat,
                    100.0 * max_load / sat});

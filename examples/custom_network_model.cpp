@@ -53,9 +53,8 @@ int main() {
   std::printf("custom two-stage network under the general wormhole model\n");
   std::printf("(middle stage = two-server bundle, the paper's M/G/2 construct)\n\n");
 
-  // As a NetworkModel, the hand-built graph plugs straight into the engine.
-  harness::SweepEngine engine;
-  const double sat = engine.saturation_rate(net);
+  // As a NetworkModel, the hand-built graph answers the Eq. 26 search itself.
+  const double sat = net.saturation_rate();
   std::printf("saturation: %.5f messages/cycle/PE (%.4f flits/cycle/PE)\n\n",
               sat, sat * sf);
 
@@ -74,7 +73,7 @@ int main() {
   // --- Ablation: what if we ignored the pooling of the two middle links?
   core::GeneralModel naive = net;
   naive.opts.ablation.multi_server = false;
-  const double sat_naive = engine.saturation_rate(naive);
+  const double sat_naive = naive.saturation_rate();
   std::printf("\nwith the two-server pool modeled as independent M/G/1 links,"
               " predicted saturation drops from %.5f to %.5f (-%.1f%%)\n",
               sat, sat_naive, 100.0 * (1.0 - sat_naive / sat));
@@ -88,14 +87,14 @@ int main() {
   const core::GeneralModel ftnet =
       core::build_traffic_model(ft, traffic::TrafficSpec::uniform(), ftopts,
                                 {.collapse = core::CollapseMode::Auto});
-  const double ft_sat = engine.saturation_rate(ftnet);
+  const double ft_sat = ftnet.saturation_rate();
   sim::SimConfig cfg;
   cfg.load_flits = ft_sat * 0.6 * sf;
   cfg.worm_flits = static_cast<int>(sf);
   cfg.warmup_cycles = 5'000;
   cfg.measure_cycles = 30'000;
   const sim::SimResult r = sim::simulate(ft, cfg);
-  const core::LatencyEstimate est = engine.evaluate(ftnet, ft_sat * 0.6);
+  const core::LatencyEstimate est = ftnet.evaluate(ft_sat * 0.6);
   std::printf("\nsanity (16-PE fat-tree at 60%% load): model %.2f cycles,"
               " simulator %.2f cycles\n",
               est.latency, r.latency.mean());

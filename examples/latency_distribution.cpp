@@ -42,15 +42,14 @@ int main(int argc, char** argv) {
 
   // One campaign: per process, one histogram-collecting cell per load
   // fraction of THAT process's model saturation.
-  harness::SweepEngine sweeps;
   harness::SimEngine engine;
-  std::vector<core::GeneralModel> models;  // keep alive for the sweep cache
+  std::vector<core::GeneralModel> models;  // one tuned copy per process
   models.reserve(processes.size());
   std::vector<harness::SimCell> cells;
   for (const arrivals::ArrivalSpec& process : processes) {
     models.push_back(base);
     models.back().set_injection_process(process);
-    const double sat = sweeps.saturation_load(models.back());
+    const double sat = models.back().saturation_load();
     for (double frac : fracs) {
       harness::SimCell cell;
       cell.topology = &ft;
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
       const sim::SimResult& r = cell.runs.front();
       const double load = cells[p * std::size(fracs) + f].cfg.load_flits;
       const util::Histogram& h = *r.latency_hist;
-      t.add_row({load, sweeps.evaluate_load(models[p], load).latency,
+      t.add_row({load, models[p].evaluate_load(load).latency,
                  r.latency.mean(), h.quantile(0.50), h.quantile(0.95),
                  h.quantile(0.99), r.latency.max()});
       if (fracs[f] == 0.9 && p + 1 == processes.size()) knee_hist = h;

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   core::FatTreeModel model(
       {.levels = levels, .worm_flits = static_cast<double>(worm)});
   harness::SweepEngine engine;
-  const double saturation = engine.saturation_load(model);
+  const double saturation = model.saturation_load();
 
   harness::SweepConfig sweep;
   for (int i = 1; i <= points; ++i)

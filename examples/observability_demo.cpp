@@ -228,12 +228,10 @@ int main(int argc, char** argv) {
   for (const auto& e : snap.entries) {
     if (e.name.rfind("wormnet_solve", 0) == 0) ++solver;
     if (e.name.rfind("wormnet_sim", 0) == 0) ++simulator;
-    if (e.name.rfind("wormnet_query", 0) == 0 ||
-        e.name.rfind("wormnet_sweep", 0) == 0)
-      ++query;
+    if (e.name.rfind("wormnet_query", 0) == 0) ++query;
   }
   std::printf("one snapshot, every layer: %zu series total "
-              "(%d solver, %d simulator, %d query/sweep)\n",
+              "(%d solver, %d simulator, %d query)\n",
               snap.entries.size(), solver, simulator, query);
   if (solver == 0 || simulator == 0 || query == 0) {
     std::printf("ERROR: a layer is missing from the snapshot\n");

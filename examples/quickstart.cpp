@@ -1,9 +1,9 @@
 // quickstart — the smallest useful wormnet program.
 //
 // Builds the analytical model of a 64-processor butterfly fat-tree, runs a
-// load sweep through the SweepEngine (parallel + memoized), asks for the
-// saturation throughput, and cross-checks one point against the flit-level
-// simulator.
+// load sweep through the SweepEngine (fanned out on its thread pool), asks
+// for the saturation throughput, and cross-checks one point against the
+// flit-level simulator.
 //
 //   ./quickstart [--levels=3] [--worm=16]
 #include <cstdio>
@@ -24,19 +24,20 @@ int main(int argc, char** argv) {
   std::printf("mean distance D̄ = %.3f channels, zero-load latency = %.1f cycles\n",
               model.mean_distance(), worm + model.mean_distance() - 1.0);
 
-  // 2. The sweep engine: batched parallel evaluation with memoization.
-  harness::SweepEngine engine;
-  const double saturation = engine.saturation_load(model);
+  // 2. The saturation throughput: the model's own Eq. 26 search.
+  const double saturation = model.saturation_load();
   std::printf("model saturation throughput: %.4f flits/cycle/processor\n\n",
               saturation);
 
+  // 3. The sweep engine: batched parallel evaluation.
+  harness::SweepEngine engine;
   std::printf("%-22s %-14s\n", "load(flits/cyc/PE)", "latency(cycles)");
   const auto points =
       engine.sweep_saturation_fractions(model, {0.1, 0.3, 0.5, 0.7, 0.9});
   for (const harness::SweepPoint& pt : points)
     std::printf("%-22.4f %-14.2f\n", pt.load_flits, pt.est.latency);
 
-  // 3. One simulation point to show the model is honest.
+  // 4. One simulation point to show the model is honest.
   const double load = saturation * 0.5;
   sim::SimConfig cfg;
   cfg.load_flits = load;
@@ -47,7 +48,7 @@ int main(int argc, char** argv) {
   const sim::SimResult r = sim::simulate(ft, cfg);
   std::printf("\nat load %.4f: model says %.2f cycles, simulation measured %.2f"
               " (+-%.2f, %lld worms)\n",
-              load, engine.evaluate_load(model, load).latency, r.latency.mean(),
+              load, model.evaluate_load(load).latency, r.latency.mean(),
               r.latency.sem(), static_cast<long long>(r.latency.count()));
   return 0;
 }

@@ -46,9 +46,9 @@ int main() {
     models.push_back(std::make_unique<core::GeneralModel>(
         core::build_traffic_model(ft, spec, opts)));
     const core::GeneralModel& net = *models.back();
-    const double sat = engine.saturation_rate(net);
+    const double sat = net.saturation_rate();
     cat.add_row({spec.name(), net.mean_distance, sat * sf,
-                 engine.evaluate(net, sat * 0.5).latency});
+                 net.evaluate(sat * 0.5).latency});
   }
   cat.print(std::cout);
 
@@ -89,7 +89,7 @@ int main() {
   m.normalize_rows();
   const traffic::TrafficSpec spec = traffic::TrafficSpec::matrix(m);
   const core::GeneralModel net = core::build_traffic_model(ft, spec, opts);
-  const double sat = engine.saturation_rate(net);
+  const double sat = net.saturation_rate();
   std::printf("\nclient/server matrix: D-bar %.3f, saturation %.4f flits/cycle/PE\n",
               net.mean_distance, sat * sf);
 
@@ -100,7 +100,7 @@ int main() {
   cfg.warmup_cycles = 5'000;
   cfg.measure_cycles = 30'000;
   const sim::SimResult r = sim::simulate(ft, cfg);
-  const core::LatencyEstimate est = engine.evaluate(net, sat * 0.6);
+  const core::LatencyEstimate est = net.evaluate(sat * 0.6);
   std::printf("at 60%% of that: model %.2f cycles, simulator %.2f cycles\n",
               est.latency, r.latency.mean());
   return 0;

@@ -58,12 +58,12 @@ int main(int argc, char** argv) {
   for (const harness::FamilyMember& fm : family) {
     const double sat = fm.saturation_rate * worm;
     // Largest load with latency under the budget, by bisection through the
-    // engine's memo cache.
+    // engine.
     double lo = 0.0;
     double hi = sat;
     for (int i = 0; i < 50; ++i) {
       const double mid = 0.5 * (lo + hi);
-      const core::LatencyEstimate ev = engine.evaluate_load(*fm.model, mid);
+      const core::LatencyEstimate ev = fm.model->evaluate_load(mid);
       if (ev.stable && ev.latency <= budget)
         lo = mid;
       else

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "core/network_model.hpp"
+#include "queueing/channel_solver.hpp"
 
 namespace wormnet::core {
 
@@ -108,7 +109,6 @@ class FatTreeModel final : public NetworkModel {
   // NetworkModel interface.
   std::string name() const override;
   double worm_flits() const override { return opts_.worm_flits; }
-  queueing::AblationOptions ablation() const override { return opts_.ablation(); }
   LatencyEstimate evaluate(double lambda0) const override;
 
  private:

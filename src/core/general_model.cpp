@@ -388,12 +388,22 @@ LatencyEstimate apply_unroutable(LatencyEstimate est, double unroutable) {
 }  // namespace
 
 std::uint64_t GeneralModel::content_digest() const {
-  // Base digest covers name, worm length, ablation switches and the arrival
-  // tuning; fold in everything else evaluate() reads.  Labels and
-  // channel_class_of are reporting metadata only, and opts.injection_scale
-  // is overridden by every evaluation's λ₀ — all three are deliberately
-  // excluded.
-  std::uint64_t h = NetworkModel::content_digest();
+  // Everything evaluate() reads.  Labels and channel_class_of are reporting
+  // metadata only, and opts.injection_scale is overridden by every
+  // evaluation's λ₀ — all three are deliberately excluded.
+  const queueing::AblationOptions& abl = opts.ablation;
+  // Every switch changes evaluate(): a new one must be mixed in here too.
+  static_assert(sizeof(queueing::AblationOptions) == 6 * sizeof(bool));
+  std::uint64_t h = util::hash_bytes(model_name);
+  h = util::hash_mix(h, (static_cast<std::uint64_t>(abl.finite_buffers) << 5) |
+                           (static_cast<std::uint64_t>(abl.multi_server) << 4) |
+                           (static_cast<std::uint64_t>(abl.blocking_correction) << 3) |
+                           (static_cast<std::uint64_t>(abl.erratum_2lambda) << 2) |
+                           (static_cast<std::uint64_t>(abl.virtual_channels) << 1) |
+                           static_cast<std::uint64_t>(abl.bursty_arrivals));
+  h = util::hash_mix_double(h, opts.worm_flits);
+  h = util::hash_mix_double(h, injection_ca2);
+  h = util::hash_mix_double(h, injection_batch_residual);
   h = util::hash_mix(h, static_cast<std::uint64_t>(graph.size()));
   for (int id = 0; id < graph.size(); ++id) {
     const ChannelClass& c = graph.at(id);

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -302,21 +303,18 @@ class GeneralModel final : public NetworkModel {
   /// Full solve at λ₀ (per-channel detail): model_solve under `opts`.
   SolveResult solve(double lambda0) const;
 
+  /// Content digest over everything evaluate() consumes: the name, worm
+  /// length, ablation switches, arrival tuning (SCV and batch residual),
+  /// the full channel graph (rates, lanes, SCVs, transitions), injection
+  /// classes/weights, mean distance and the solver knobs.  Two GeneralModels
+  /// with equal digests evaluate bitwise-identically at every λ₀, so
+  /// harness::QueryEngine keys its resident variants on it.  O(channels +
+  /// transitions).
+  std::uint64_t content_digest() const;
+
   // NetworkModel interface.
   std::string name() const override { return model_name; }
   double worm_flits() const override { return opts.worm_flits; }
-  queueing::AblationOptions ablation() const override { return opts.ablation; }
-  double arrival_ca2() const override { return injection_ca2; }
-  double arrival_batch_residual() const override {
-    return injection_batch_residual;
-  }
-  /// Content digest over everything evaluate() consumes: the full channel
-  /// graph (rates, lanes, SCVs, transitions), injection classes/weights,
-  /// mean distance and the solver knobs.  Two GeneralModels with equal
-  /// digests evaluate bitwise-identically at every λ₀, so memo caches can
-  /// share entries across rebuilt or cloned models.  O(channels +
-  /// transitions).
-  std::uint64_t content_digest() const override;
   /// model_latency under `opts`.
   LatencyEstimate evaluate(double lambda0) const override;
   /// model_saturation_rate under `opts`: bitwise the base class's search

@@ -2,7 +2,6 @@
 
 #include "core/saturation.hpp"
 #include "util/assert.hpp"
-#include "util/hash.hpp"
 
 namespace wormnet::core {
 
@@ -14,26 +13,6 @@ const char* to_string(SolveStatus status) {
     case SolveStatus::Disconnected: return "disconnected";
   }
   return "unknown";
-}
-
-std::uint64_t NetworkModel::content_digest() const {
-  // The identity the base interface can observe.  Subclasses whose
-  // evaluate() depends on more (channel graphs, lane knobs) mix that state
-  // on top — see the header contract.
-  const queueing::AblationOptions abl = ablation();
-  // Every switch changes evaluate(): a new one must be mixed in here too.
-  static_assert(sizeof(queueing::AblationOptions) == 6 * sizeof(bool));
-  std::uint64_t h = util::hash_bytes(name());
-  h = util::hash_mix(h, (static_cast<std::uint64_t>(abl.finite_buffers) << 5) |
-                           (static_cast<std::uint64_t>(abl.multi_server) << 4) |
-                           (static_cast<std::uint64_t>(abl.blocking_correction) << 3) |
-                           (static_cast<std::uint64_t>(abl.erratum_2lambda) << 2) |
-                           (static_cast<std::uint64_t>(abl.virtual_channels) << 1) |
-                           static_cast<std::uint64_t>(abl.bursty_arrivals));
-  h = util::hash_mix_double(h, worm_flits());
-  h = util::hash_mix_double(h, arrival_ca2());
-  h = util::hash_mix_double(h, arrival_batch_residual());
-  return h;
 }
 
 LatencyEstimate NetworkModel::evaluate_load(double load_flits) const {

@@ -6,15 +6,15 @@
 // any user-built model — implements this one interface, so the sweep engine
 // and experiment harness drive all of them uniformly.
 //
-// Implementations own their topology description and ablation switches; the
-// interface deals only in the paper's observable quantities: the latency
-// estimate at an injection rate (Eq. 2/25) and the saturation rate (Eq. 26).
+// Implementations own their topology description, ablation switches and
+// arrival tuning; the interface deals only in the paper's observable
+// quantities: the latency estimate at an injection rate (Eq. 2/25) and the
+// saturation rate (Eq. 26).  No caller caches evaluations behind this
+// interface, so a subclass implements name(), worm_flits() and evaluate(),
+// may override saturation_rate(), and owes no content digest.
 #pragma once
 
-#include <cstdint>
 #include <string>
-
-#include "queueing/channel_solver.hpp"
 
 namespace wormnet::core {
 
@@ -60,40 +60,6 @@ class NetworkModel {
 
   /// s_f, the worm length in flits this model was configured with.
   virtual double worm_flits() const = 0;
-
-  /// The ablation switches in force (the paper's two novelties + erratum).
-  virtual queueing::AblationOptions ablation() const = 0;
-
-  /// The injection-process SCV (C_a²) this model is currently tuned to; 1 —
-  /// the paper's Poisson assumption — unless the implementation supports the
-  /// bursty-arrivals extension (GeneralModel via set_injection_ca2).  Part
-  /// of the interface so sweep caches can key on it.
-  virtual double arrival_ca2() const { return 1.0; }
-
-  /// The injection process's intra-batch serialization residual (mean
-  /// batch-mates ahead, in injection services; see
-  /// arrivals::ArrivalSpec::batch_residual); 0 for batchless processes.
-  /// Interface-visible for the same cache-keying reason as arrival_ca2.
-  virtual double arrival_batch_residual() const { return 0.0; }
-
-  /// Content digest: a hash over every configuration axis that can change
-  /// evaluate()'s result, such that two models with equal digests produce
-  /// bitwise-identical estimates at every λ₀.  Memo caches
-  /// (harness::SweepEngine, harness::QueryEngine) key evaluations on this
-  /// value instead of the model's address, so entries survive the model
-  /// object itself — a rebuilt or cloned model with identical content hits
-  /// the cache, and a recycled address can never serve stale data.
-  ///
-  /// The default folds the identity the base interface can see: name(),
-  /// worm length, ablation switches and the arrival-process tuning.  That
-  /// is sufficient ONLY when name() pins down everything else (true for
-  /// FatTreeModel, whose name encodes levels/parents/lanes; GeneralModel
-  /// overrides to hash its channel graph).
-  /// Implementations whose evaluate() depends on state beyond these axes
-  /// MUST override and mix that state in, or caches may serve a lookalike's
-  /// estimate.  Called once per cached evaluation (batch sweeps hoist it),
-  /// so overrides should stay O(model size) or better.
-  virtual std::uint64_t content_digest() const;
 
   /// Evaluate at λ₀ messages/cycle/processor.
   virtual LatencyEstimate evaluate(double lambda0) const = 0;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -889,7 +891,10 @@ struct RetunableTrafficModel::Impl {
   double tuned_residual = 0.0;
   /// One-shot warn gate for the collapsed→dense fault fallback below: big
   /// N−1 sweeps trip the branch once per resident, not once per scenario.
-  bool warned_collapsed_fault = false;
+  /// Shared by copies, so a QueryEngine's per-variant clones of one
+  /// resident warn once between them.
+  std::shared_ptr<std::atomic<bool>> warned_collapsed_fault =
+      std::make_shared<std::atomic<bool>>(false);
   /// Active fault view, shared (immutable after construction) so the default
   /// Impl copy stays cheap and clones of a faulted resident share the
   /// survivor BFS tables.  Null = healthy fabric.
@@ -1193,8 +1198,7 @@ RetuneReport RetunableTrafficModel::retune_faults(
         .counter("wormnet_collapsed_fault_dense_rebuilds_total",
                  "reason=broken-symmetry")
         .inc();
-    if (!im.warned_collapsed_fault) {
-      im.warned_collapsed_fault = true;
+    if (!im.warned_collapsed_fault->exchange(true)) {
       WORMNET_LOG_SUB(Core, Warn)
           << "collapsed resident '" << old_name
           << "' fell back to a dense rebuild on its first degraded query: "

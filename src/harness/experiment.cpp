@@ -33,9 +33,9 @@ std::vector<ComparisonRow> compare_latency(const topo::Topology& topo,
   WORMNET_EXPECTS(!cfg.loads.empty());
   std::vector<ComparisonRow> rows(cfg.loads.size());
 
-  // Model side: one batched engine sweep (memoized across calls).  A
-  // private engine lives only for this block so its worker pool is gone
-  // before the simulation campaign below spins up.
+  // Model side: one batched engine sweep.  A private engine lives only for
+  // this block so its worker pool is gone before the simulation campaign
+  // below spins up.
   {
     std::unique_ptr<SweepEngine> local;
     if (!engine)

@@ -199,14 +199,19 @@ struct QueryEngine::Impl {
     if (q.arrival) v.clone->set_injection_process(*q.arrival, q.lambda0);
   }
 
-  QueryResult evaluate(const Resident& r, const Variant& v,
+  /// Answer query `i` on its variant.  Only the variant's rep_query
+  /// carries the preparation cost and its RetuneReport; the variant's
+  /// other fresh jobs only re-evaluate the prepared model.
+  QueryResult evaluate(const Resident& r, const Variant& v, std::size_t i,
                        const WhatIfQuery& q) {
     const core::GeneralModel& m =
         v.clone ? v.clone->model() : r.baseline.model();
     QueryResult res;
     res.metric = q.metric;
-    res.cost = v.basis;
-    res.retune = v.report;
+    if (static_cast<int>(i) == v.rep_query) {
+      res.cost = v.basis;
+      res.retune = v.report;
+    }
     switch (q.metric) {
       case QueryMetric::Latency:
         res.est = m.evaluate(q.lambda0);
@@ -360,7 +365,7 @@ std::vector<QueryResult> QueryEngine::run_batch(
   const auto eval_one = [&](std::int64_t j) {
     const std::size_t i = jobs[static_cast<std::size_t>(j)];
     results[i] = im.evaluate(
-        r, variants[static_cast<std::size_t>(variant_of[i])], queries[i]);
+        r, variants[static_cast<std::size_t>(variant_of[i])], i, queries[i]);
   };
   if (im.pool && jobs.size() > 1) {
     util::parallel_for(*im.pool, static_cast<std::int64_t>(jobs.size()),

@@ -73,7 +73,9 @@ enum class QueryMetric {
   ClassBreakdown,  ///< per-channel-class load/wait detail at lambda0
 };
 
-/// How the engine served a query — the retune-vs-rebuild cost class.
+/// How the engine served a query — the retune-vs-rebuild cost class.  A
+/// variant's preparation is metered once, on the first query of the batch
+/// that needs it; that variant's other fresh queries are Reevaluate.
 enum class QueryCost {
   /// Answered from the result cache (a duplicate within the batch, or the
   /// same question asked in an earlier batch).  No model work at all.
@@ -144,7 +146,8 @@ struct QueryResult {
   std::vector<ClassLoadRow> breakdown;  ///< ClassBreakdown
   QueryCost cost = QueryCost::Reevaluate;
   /// What preparing this query's model variant did (zeroed for Memoized
-  /// answers and for queries with no pattern delta).
+  /// answers, for queries with no pattern delta, and for every query of a
+  /// variant but the one its preparation is metered on).
   core::RetuneReport retune;
 };
 

@@ -1,7 +1,7 @@
 // wormnet/util/hash.hpp
 //
 // Small deterministic hashing helpers for in-process content digests
-// (core::NetworkModel::content_digest and friends).  Not cryptographic and
+// (core::GeneralModel::content_digest and friends).  Not cryptographic and
 // not stable across builds — digests are compared only between values
 // computed in the same process, so all that matters is determinism and
 // good bit diffusion (splitmix64's finalizer provides both).

@@ -50,16 +50,14 @@ TEST(Harness, ModelAndSimAgreeInHarnessRun) {
 }
 
 TEST(Harness, CompareLatencyAcceptsSharedEngine) {
-  // Re-running the same sweep through one engine must reuse every model
-  // point (cache hits) and reproduce the rows exactly.
+  // Re-running the same sweep through one caller-owned engine reproduces
+  // the rows exactly.
   topo::ButterflyFatTree ft(2);
   const core::FatTreeModel model = fattree_model(2, 16.0);
   SweepEngine engine;
   const auto a = compare_latency(ft, model, small_sweep(), &engine);
-  const std::uint64_t misses_after_first = engine.cache_misses();
   const auto b = compare_latency(ft, model, small_sweep(), &engine);
-  EXPECT_EQ(engine.cache_misses(), misses_after_first);
-  EXPECT_GE(engine.cache_hits(), 3u);
+  ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].model_latency, b[i].model_latency);
     EXPECT_EQ(a[i].sim_latency, b[i].sim_latency);

@@ -344,13 +344,22 @@ TEST(ObsTelemetry, CollapsedNMinus1RebuildsOncePerLinkOrbit) {
 
   const double before = obs::Registry::global().value(
       "wormnet_collapsed_fault_dense_rebuilds_total", "reason=broken-symmetry");
+  // Each orbit's variant is a copy of the resident; the one-shot Warn is
+  // shared by those copies, so three dense builds log it once.
+  obs::Registry logs;
+  obs::CountingLogSink sink(logs, /*forward=*/false);
+  obs::set_log_sink(&sink);
   const harness::AvailabilityReport rep =
       engine.availability_n_minus_1(0, lambda0);
+  obs::set_log_sink(nullptr);
   const double after = obs::Registry::global().value(
       "wormnet_collapsed_fault_dense_rebuilds_total", "reason=broken-symmetry");
   EXPECT_EQ(rep.rows.size(), 224u);
   EXPECT_EQ(engine.served_rebuild(), 3u);
   EXPECT_DOUBLE_EQ(after, before + 3.0);
+  EXPECT_DOUBLE_EQ(
+      logs.value("wormnet_log_messages_total", "subsystem=core,level=warn"),
+      1.0);
   EXPECT_TRUE(engine.resident_model(0).collapsed());
 }
 

@@ -17,6 +17,7 @@
 
 #include "core/traffic_model.hpp"
 #include "topo/butterfly_fattree.hpp"
+#include "topo/fault.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
 
@@ -225,9 +226,9 @@ TEST(RetunableTrafficModel, ArrivalDeltaParityAndSurvivesRetune) {
         *tc.topo, traffic::TrafficSpec::hotspot(0.2, 2));
     cold.set_injection_process(arrivals::ArrivalSpec::batch(4.0));
     expect_parity(rm.model(), cold, 0.001, tc.tag);
-    EXPECT_NEAR(rm.model().arrival_ca2(), cold.arrival_ca2(), kStateTol);
-    EXPECT_NEAR(rm.model().arrival_batch_residual(),
-                cold.arrival_batch_residual(), kStateTol);
+    EXPECT_NEAR(rm.model().injection_ca2, cold.injection_ca2, kStateTol);
+    EXPECT_NEAR(rm.model().injection_batch_residual,
+                cold.injection_batch_residual, kStateTol);
   }
 }
 
@@ -443,6 +444,32 @@ TEST(QueryEngine, CostClassesReflectThePlannedWork) {
   EXPECT_EQ(qe.served_rebuild(), 1u);
   EXPECT_EQ(qe.served_reevaluate(), 1u);
   EXPECT_EQ(qe.served_memoized(), 1u);
+}
+
+TEST(QueryEngine, VariantPreparationIsMeteredOnce) {
+  // Latency and Saturation of one faulted variant: one cold build, metered
+  // on the first query that needed it; the second query only re-evaluates.
+  const topo::ButterflyFatTree ft(3);
+  QueryEngine qe(ft, traffic::TrafficSpec::uniform());
+  auto faults = std::make_shared<topo::FaultSet>(ft);
+  faults->fail_link(ft.switch_id(1, 0), topo::ButterflyFatTree::kParentPort0);
+  std::vector<WhatIfQuery> batch(2);
+  for (auto& q : batch) {
+    q.faults = faults;
+    q.lambda0 = 0.002;
+  }
+  batch[1].metric = QueryMetric::Saturation;
+  const auto res = qe.run_batch(batch);
+  EXPECT_EQ(qe.variants_prepared(), 1u);
+  EXPECT_EQ(res[0].cost, QueryCost::Rebuild);
+  EXPECT_TRUE(res[0].retune.rebuilt);
+  EXPECT_GT(res[0].retune.passes, 0);
+  EXPECT_EQ(res[1].cost, QueryCost::Reevaluate);
+  EXPECT_FALSE(res[1].retune.rebuilt);
+  EXPECT_EQ(res[1].retune.passes, 0);
+  EXPECT_EQ(res[1].retune.changed_pairs, 0);
+  EXPECT_EQ(qe.served_rebuild(), 1u);
+  EXPECT_EQ(qe.served_reevaluate(), 1u);
 }
 
 TEST(QueryEngine, DedupSharesVariantsAndMemoizesAcrossBatches) {

@@ -423,8 +423,8 @@ TEST(TrafficModel, DeltaRetuneKeepsTinyFlowsNextToHotOnes) {
 // Regression: util::double_bits once digested -0.0 and +0.0 as distinct
 // words, so a model whose signed delta arithmetic left a negative zero on
 // an idle channel produced a different content digest than the
-// value-identical rebuilt model — splitting memo/cache entries that must
-// collide (SweepEngine keys, QueryEngine variants).
+// value-identical rebuilt model — splitting QueryEngine variant keys that
+// must collide.
 TEST(TrafficModel, ContentDigestIgnoresSignedZeroRates) {
   topo::Hypercube hc(2);
   GeneralModel a = build_traffic_model(hc, traffic::TrafficSpec::uniform());
